@@ -151,7 +151,9 @@ func TestPublicLiveStackOverHub(t *testing.T) {
 	defer pEP.Close()
 
 	clk := sfd.NewRealClock()
-	mon := sfd.NewMonitor(clk, sfd.SFDFactory(sfd.Targets{}), sfd.MonitorOptions{})
+	mon := sfd.NewRegistry(clk, sfd.SFDFactory(sfd.Targets{}), sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1})
+	mon.Start()
+	defer mon.Stop()
 	recv := sfd.NewHeartbeatReceiver(qEP, clk, mon.Observe)
 	recv.Start()
 
@@ -193,7 +195,8 @@ func TestPublicSimClusterAndConsortium(t *testing.T) {
 		Factory: func(string) sfd.Detector {
 			return sfd.NewChen(30, 100*msA, 300*msA)
 		},
-		Seed: 3,
+		Options: sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1},
+		Seed:    3,
 	})
 	con.RunFor(10*time.Second, 10*time.Millisecond)
 	cl := con.Clouds["GA"]
@@ -201,7 +204,7 @@ func TestPublicSimClusterAndConsortium(t *testing.T) {
 		t.Fatal("GA cloud missing")
 	}
 	now := con.Clk.Now()
-	snap := cl.Manager.Mon.Snapshot(now)
+	snap := cl.Manager.Reg.Snapshot(now)
 	if len(snap) == 0 {
 		t.Fatal("empty snapshot")
 	}
@@ -289,9 +292,9 @@ func TestPublicVariantDetectorsAndElector(t *testing.T) {
 		t.Fatal("variant detectors never suspect")
 	}
 
-	mon := sfd.NewMonitor(sfd.NewSimClock(0), func(string) sfd.Detector {
+	mon := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
 		return sfd.NewChen(20, 100*msA, 100*msA)
-	}, sfd.MonitorOptions{})
+	}, sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1})
 	for i := 0; i < 30; i++ {
 		send := sfd.Time(i) * sfd.Time(100*msA)
 		mon.Observe(sfd.HeartbeatArrival{From: "a", Seq: uint64(i), Send: send, Recv: send.Add(msA)})
@@ -312,11 +315,13 @@ func TestPublicVariantDetectorsAndElector(t *testing.T) {
 
 func TestPublicSimClusterDirect(t *testing.T) {
 	sc := sfd.NewSimCluster(sfd.LinkParams{DelayBase: 2 * msA}, 9)
-	mon := sc.AddMonitor("q", sfd.SFDFactory(sfd.Targets{}), sfd.MonitorOptions{})
+	mon := sc.AddMonitor("q", sfd.SFDFactory(sfd.Targets{}), sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1})
 	sc.AddSender("p", 100*msA, msA, "q")
-	mon.Mon.Watch("p")
+	if err := mon.Reg.Register("p"); err != nil {
+		t.Fatal(err)
+	}
 	sc.RunFor(10*time.Second, 10*time.Millisecond)
-	if st, ok := mon.Mon.StatusOf("p", sc.Clk.Now()); !ok || st != sfd.PeerActive {
+	if st, ok := mon.Reg.StatusOf("p", sc.Clk.Now()); !ok || st != sfd.PeerActive {
 		t.Fatalf("sim cluster peer status %v,%v", st, ok)
 	}
 	sc.Sender("p").Crash()

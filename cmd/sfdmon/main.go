@@ -77,127 +77,164 @@ import (
 	sfd "repro"
 )
 
-func main() {
-	var (
-		mode     = flag.String("mode", "demo", "send, monitor, aggregate, watch, or demo")
-		to       = flag.String("to", "127.0.0.1:7946", "send: monitor address")
-		listen   = flag.String("listen", ":7946", "monitor: bind address")
-		interval = flag.Duration("interval", 100*time.Millisecond, "send: heartbeat interval")
-		jitter   = flag.Float64("jitter", 0, "send: per-beat uniform jitter fraction in [0,1) (0 = fixed cadence)")
-		ramp     = flag.Duration("ramp", 0, "send: random start delay drawn from [0,ramp) (desynchronizes fleets)")
-		hbName   = flag.String("name", "", "send: logical stream name (wire-v3; the monitor keys the stream by name, surviving address changes)")
-		refresh  = flag.Duration("refresh", time.Second, "monitor: status print interval")
-		maxTD    = flag.Duration("maxtd", 2*time.Second, "monitor: target max detection time")
-		maxMR    = flag.Float64("maxmr", 0.5, "monitor: target max mistake rate")
-		minQAP   = flag.Float64("minqap", 0.99, "monitor: target min QAP")
-		serve    = flag.String("serve", "", "monitor: HTTP status address (e.g. :8080; empty = disabled)")
-		pprofOn  = flag.Bool("pprof", false, "monitor: mount /debug/pprof/ on the -serve listener")
-		evict    = flag.Duration("evict", time.Minute, "monitor: drop peers offline this long (<0 = never)")
-		duration = flag.Duration("duration", 0, "exit after this long (0 = run until interrupted)")
+// config is every sfdmon flag, one field each: bind registers them,
+// validate checks them, and each mode's run function reads the ones it
+// documents.
+type config struct {
+	mode     string
+	to       string
+	listen   string
+	interval time.Duration
+	jitter   float64
+	ramp     time.Duration
+	hbName   string
+	refresh  time.Duration
+	targets  sfd.Targets
+	serve    string
+	pprofOn  bool
+	evict    time.Duration
+	duration time.Duration
 
-		rxQueues = flag.Int("rxqueues", 1, "monitor: parallel ingest queues (rounded up to a power of two)")
-		rxBatch  = flag.Int("rxbatch", 32, "monitor: datagrams per batched socket read (Linux recvmmsg fast path)")
+	rxQueues int
+	rxBatch  int
 
-		stateDir   = flag.String("state-dir", "", "monitor: directory for crash-safe state snapshots (empty = no persistence)")
-		checkpoint = flag.Duration("checkpoint", 30*time.Second, "monitor: full-snapshot interval when -state-dir is set")
+	stateDir   string
+	checkpoint time.Duration
 
-		gossipOn       = flag.Bool("gossip", false, "monitor: exchange suspicion digests with peer monitors")
-		gossipPeers    = flag.String("gossip-peers", "", "monitor: comma-separated peer monitor addresses")
-		gossipID       = flag.String("gossip-id", "", "monitor: gossip identity (default: the bound address)")
-		gossipInterval = flag.Duration("gossip-interval", 250*time.Millisecond, "monitor: anti-entropy round period")
-		gossipQuorum   = flag.Int("gossip-quorum", 2, "monitor: concurring monitors needed for a global verdict")
-		gossipSeed     = flag.Int64("gossip-seed", 0, "monitor: peer-selection seed (0 = default)")
+	gossipOn       bool
+	gossipPeers    string
+	gossipID       string
+	gossipInterval time.Duration
+	gossipQuorum   int
+	gossipSeed     int64
 
-		chaosSpec = flag.String("chaos", "", "scenario to inject: a JSON file path or the flag DSL (see internal/chaos)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "override the scenario's injection seed (0 = keep)")
+	chaosSpec string
+	chaosSeed int64
+	chaos     *sfd.ChaosScenario // chaosSpec resolved by validate; nil without -chaos
 
-		watchURL    = flag.String("url", "http://127.0.0.1:8080", "watch: base URL of a monitor's HTTP surface")
-		watchFilter = flag.String("filter", "#", "watch: topic filter over stream names (+/# wildcards)")
-		watchBuf    = flag.Int("buf", 256, "watch: server-side subscription buffer (drop-oldest beyond it)")
-		watchMax    = flag.Int("max", 0, "watch: exit after this many events (0 = stream until interrupted)")
-		watchRetry  = flag.Bool("retry", false, "watch: reconnect with capped exponential backoff instead of exiting")
+	watchURL    string
+	watchFilter string
+	watchBuf    int
+	watchMax    int
+	watchRetry  bool
 
-		fedAgg      = flag.String("federate", "", "monitor: aggregator address to roll cohort digests up to (empty = no federation)")
-		fedAggs     = flag.String("fed-aggs", "", "monitor: comma-separated ordered aggregator addresses (HA pair; supersedes -federate)")
-		fedID       = flag.String("fed-id", "", "monitor: federation leaf identity (default: the bound address)")
-		fedRegion   = flag.String("fed-region", "", "monitor/aggregate: region label")
-		fedCohorts  = flag.String("fed-cohorts", "", "monitor: comma-separated cohort topic filters this leaf owns (e.g. 'eu/cluster-3/#')")
-		fedInterval = flag.Duration("fed-interval", time.Second, "monitor/aggregate: digest roll-up interval")
-		fedPeer     = flag.String("fed-peer", "", "aggregate: comma-separated HA peer aggregator addresses (empty = standalone)")
-		fedInc      = flag.Uint64("fed-inc", 1, "aggregate: incarnation, bumped on restart so HA peers reset this instance's beat stream")
-	)
-	flag.Parse()
+	fedAgg      string
+	fedAggs     string
+	fedID       string
+	fedRegion   string
+	fedCohorts  string
+	fedInterval time.Duration
+	fedPeer     string
+	fedInc      uint64
+}
 
-	var chaosSc *sfd.ChaosScenario
-	if *chaosSpec != "" {
-		sc, err := loadScenario(*chaosSpec, *chaosSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfdmon: -chaos: %v\n", err)
-			os.Exit(2)
-		}
-		chaosSc = &sc
-	}
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.mode, "mode", "demo", "send, monitor, aggregate, watch, or demo")
+	fs.StringVar(&c.to, "to", "127.0.0.1:7946", "send: monitor address")
+	fs.StringVar(&c.listen, "listen", ":7946", "monitor: bind address")
+	fs.DurationVar(&c.interval, "interval", 100*time.Millisecond, "send: heartbeat interval")
+	fs.Float64Var(&c.jitter, "jitter", 0, "send: per-beat uniform jitter fraction in [0,1) (0 = fixed cadence)")
+	fs.DurationVar(&c.ramp, "ramp", 0, "send: random start delay drawn from [0,ramp) (desynchronizes fleets)")
+	fs.StringVar(&c.hbName, "name", "", "send: logical stream name (wire-v3; the monitor keys the stream by name, surviving address changes)")
+	fs.DurationVar(&c.refresh, "refresh", time.Second, "monitor: status print interval")
+	fs.DurationVar(&c.targets.MaxTD, "maxtd", 2*time.Second, "monitor: target max detection time")
+	fs.Float64Var(&c.targets.MaxMR, "maxmr", 0.5, "monitor: target max mistake rate")
+	fs.Float64Var(&c.targets.MinQAP, "minqap", 0.99, "monitor: target min QAP")
+	fs.StringVar(&c.serve, "serve", "", "monitor: HTTP status address (e.g. :8080; empty = disabled)")
+	fs.BoolVar(&c.pprofOn, "pprof", false, "monitor: mount /debug/pprof/ on the -serve listener")
+	fs.DurationVar(&c.evict, "evict", time.Minute, "monitor: drop peers offline this long (<0 = never)")
+	fs.DurationVar(&c.duration, "duration", 0, "exit after this long (0 = run until interrupted)")
 
-	switch *mode {
+	fs.IntVar(&c.rxQueues, "rxqueues", 1, "monitor: parallel ingest queues (rounded up to a power of two)")
+	fs.IntVar(&c.rxBatch, "rxbatch", 32, "monitor: datagrams per batched socket read (Linux recvmmsg fast path)")
+
+	fs.StringVar(&c.stateDir, "state-dir", "", "monitor: directory for crash-safe state snapshots (empty = no persistence)")
+	fs.DurationVar(&c.checkpoint, "checkpoint", 30*time.Second, "monitor: full-snapshot interval when -state-dir is set")
+
+	fs.BoolVar(&c.gossipOn, "gossip", false, "monitor: exchange suspicion digests with peer monitors")
+	fs.StringVar(&c.gossipPeers, "gossip-peers", "", "monitor: comma-separated peer monitor addresses")
+	fs.StringVar(&c.gossipID, "gossip-id", "", "monitor: gossip identity (default: the bound address)")
+	fs.DurationVar(&c.gossipInterval, "gossip-interval", 250*time.Millisecond, "monitor: anti-entropy round period")
+	fs.IntVar(&c.gossipQuorum, "gossip-quorum", 2, "monitor: concurring monitors needed for a global verdict")
+	fs.Int64Var(&c.gossipSeed, "gossip-seed", 0, "monitor: peer-selection seed (0 = default)")
+
+	fs.StringVar(&c.chaosSpec, "chaos", "", "scenario to inject: a JSON file path or the flag DSL (see internal/chaos)")
+	fs.Int64Var(&c.chaosSeed, "chaos-seed", 0, "override the scenario's injection seed (0 = keep)")
+
+	fs.StringVar(&c.watchURL, "url", "http://127.0.0.1:8080", "watch: base URL of a monitor's HTTP surface")
+	fs.StringVar(&c.watchFilter, "filter", "#", "watch: topic filter over stream names (+/# wildcards)")
+	fs.IntVar(&c.watchBuf, "buf", 256, "watch: server-side subscription buffer (drop-oldest beyond it)")
+	fs.IntVar(&c.watchMax, "max", 0, "watch: exit after this many events (0 = stream until interrupted)")
+	fs.BoolVar(&c.watchRetry, "retry", false, "watch: reconnect with capped exponential backoff instead of exiting")
+
+	fs.StringVar(&c.fedAgg, "federate", "", "monitor: aggregator address to roll cohort digests up to (empty = no federation)")
+	fs.StringVar(&c.fedAggs, "fed-aggs", "", "monitor: comma-separated ordered aggregator addresses (HA pair; supersedes -federate)")
+	fs.StringVar(&c.fedID, "fed-id", "", "monitor: federation leaf identity (default: the bound address)")
+	fs.StringVar(&c.fedRegion, "fed-region", "", "monitor/aggregate: region label")
+	fs.StringVar(&c.fedCohorts, "fed-cohorts", "", "monitor: comma-separated cohort topic filters this leaf owns (e.g. 'eu/cluster-3/#')")
+	fs.DurationVar(&c.fedInterval, "fed-interval", time.Second, "monitor/aggregate: digest roll-up interval")
+	fs.StringVar(&c.fedPeer, "fed-peer", "", "aggregate: comma-separated HA peer aggregator addresses (empty = standalone)")
+	fs.Uint64Var(&c.fedInc, "fed-inc", 1, "aggregate: incarnation, bumped on restart so HA peers reset this instance's beat stream")
+}
+
+// validate rejects flag values the selected mode cannot run with, and
+// resolves -chaos. main turns its error into exit status 2.
+func (c *config) validate() error {
+	switch c.mode {
 	case "send":
-		if strings.TrimSpace(*to) == "" {
-			fmt.Fprintln(os.Stderr, "sfdmon: -mode send needs a monitor address: -to host:port")
-			os.Exit(2)
+		if strings.TrimSpace(c.to) == "" {
+			return errors.New("-mode send needs a monitor address: -to host:port")
 		}
-		if *interval <= 0 {
-			fmt.Fprintf(os.Stderr, "sfdmon: -interval must be positive (got %v)\n", *interval)
-			os.Exit(2)
+		if c.interval <= 0 {
+			return fmt.Errorf("-interval must be positive (got %v)", c.interval)
 		}
-		if *jitter < 0 || *jitter >= 1 {
-			fmt.Fprintf(os.Stderr, "sfdmon: -jitter must be in [0,1) (got %g)\n", *jitter)
-			os.Exit(2)
+		if c.jitter < 0 || c.jitter >= 1 {
+			return fmt.Errorf("-jitter must be in [0,1) (got %g)", c.jitter)
 		}
-		if *ramp < 0 {
-			fmt.Fprintf(os.Stderr, "sfdmon: -ramp must be non-negative (got %v)\n", *ramp)
-			os.Exit(2)
+		if c.ramp < 0 {
+			return fmt.Errorf("-ramp must be non-negative (got %v)", c.ramp)
 		}
-		runSender(*to, *interval, *jitter, *ramp, *hbName, *duration, chaosSc)
+	case "monitor", "aggregate":
+		// The status loop runs on a time.Ticker, which panics on these.
+		if c.refresh <= 0 {
+			return fmt.Errorf("-refresh must be positive (got %v)", c.refresh)
+		}
+		if c.mode == "monitor" && c.gossipOn && len(splitPeers(c.gossipPeers)) == 0 {
+			return errors.New("-gossip requires -gossip-peers")
+		}
+	case "watch", "demo":
+	default:
+		return fmt.Errorf("unknown mode %q", c.mode)
+	}
+	if c.chaosSpec != "" {
+		sc, err := loadScenario(c.chaosSpec, c.chaosSeed)
+		if err != nil {
+			return fmt.Errorf("-chaos: %v", err)
+		}
+		c.chaos = &sc
+	}
+	return nil
+}
+
+func main() {
+	var c config
+	c.bind(flag.CommandLine)
+	flag.Parse()
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "sfdmon: %v\n", err)
+		os.Exit(2)
+	}
+	switch c.mode {
+	case "send":
+		runSender(&c)
 	case "monitor":
-		var gc *gossipConfig
-		if *gossipOn {
-			gc = &gossipConfig{
-				peers:    splitPeers(*gossipPeers),
-				id:       *gossipID,
-				interval: *gossipInterval,
-				quorum:   *gossipQuorum,
-				seed:     *gossipSeed,
-			}
-			if len(gc.peers) == 0 {
-				fmt.Fprintln(os.Stderr, "sfdmon: -gossip requires -gossip-peers")
-				os.Exit(2)
-			}
-		}
-		var fc *fedConfig
-		if *fedAgg != "" || *fedAggs != "" {
-			fc = &fedConfig{
-				agg:      *fedAgg,
-				aggs:     splitPeers(*fedAggs),
-				id:       *fedID,
-				region:   *fedRegion,
-				cohorts:  splitPeers(*fedCohorts),
-				interval: *fedInterval,
-			}
-			if fc.agg == "" && len(fc.aggs) > 0 {
-				fc.agg = fc.aggs[0]
-			}
-		}
-		runMonitor(*listen, *serve, *refresh,
-			sfd.Targets{MaxTD: *maxTD, MaxMR: *maxMR, MinQAP: *minQAP}, *evict, *duration, gc, *pprofOn, chaosSc,
-			*stateDir, *checkpoint, fc, *rxQueues, *rxBatch)
+		runMonitor(&c)
 	case "aggregate":
-		runAggregate(*listen, *serve, *fedID, *fedRegion, splitPeers(*fedPeer), *fedInc, *fedInterval, *refresh, *duration, *pprofOn)
+		runAggregate(&c)
 	case "watch":
-		runWatch(*watchURL, *watchFilter, *watchBuf, *watchMax, *duration, *watchRetry)
+		runWatch(&c)
 	case "demo":
 		runDemo()
-	default:
-		fmt.Fprintf(os.Stderr, "sfdmon: unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
 }
 
@@ -224,7 +261,7 @@ func loadScenario(spec string, seed int64) (sfd.ChaosScenario, error) {
 	return sc, nil
 }
 
-func runSender(to string, interval time.Duration, jitter float64, ramp time.Duration, name string, duration time.Duration, chaosSc *sfd.ChaosScenario) {
+func runSender(c *config) {
 	udp, err := sfd.ListenUDP(":0")
 	if err != nil {
 		fatal(err)
@@ -237,41 +274,41 @@ func runSender(to string, interval time.Duration, jitter float64, ramp time.Dura
 	// A send-side scenario impairs outbound heartbeats at the source and
 	// lets skew steps drag the sender's timestamp clock.
 	var ctl *sfd.ChaosController
-	if chaosSc != nil {
-		ctl = sfd.NewChaosController(clk, chaosSc.Seed)
+	if c.chaos != nil {
+		ctl = sfd.NewChaosController(clk, c.chaos.Seed)
 		skewed := sfd.NewSkewedClock(clk)
 		ctl.AttachClock(skewed)
 		hbClk = skewed
 		cep := sfd.WrapChaos(ep, ctl)
 		cep.Start()
 		ep = cep
-		if err := ctl.Play(*chaosSc); err != nil {
+		if err := ctl.Play(*c.chaos); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("sfdmon: chaos scenario %q armed (seed %d, %d steps)\n",
-			chaosSc.Name, ctl.Seed(), len(chaosSc.Steps))
+			c.chaos.Name, ctl.Seed(), len(c.chaos.Steps))
 	}
 
 	// The paced sender shares the load harness's timing model, so a
 	// hand-run sender paces exactly like a harness fleet member.
-	snd, err := sfd.NewPacedHeartbeatSender(ep, to, name,
-		sfd.LoadPacer{Interval: interval, Jitter: jitter, Ramp: ramp}, 0, hbClk)
+	snd, err := sfd.NewPacedHeartbeatSender(ep, c.to, c.hbName,
+		sfd.LoadPacer{Interval: c.interval, Jitter: c.jitter, Ramp: c.ramp}, 0, hbClk)
 	if err != nil {
 		fatal(err)
 	}
 	snd.Start()
-	how := fmt.Sprintf("every %v", interval)
-	if jitter > 0 {
-		how += fmt.Sprintf(" ±%d%%", int(jitter*100))
+	how := fmt.Sprintf("every %v", c.interval)
+	if c.jitter > 0 {
+		how += fmt.Sprintf(" ±%d%%", int(c.jitter*100))
 	}
-	if ramp > 0 {
-		how += fmt.Sprintf(" after <%v ramp", ramp)
+	if c.ramp > 0 {
+		how += fmt.Sprintf(" after <%v ramp", c.ramp)
 	}
-	if name != "" {
-		how += fmt.Sprintf(" as %q", name)
+	if c.hbName != "" {
+		how += fmt.Sprintf(" as %q", c.hbName)
 	}
-	fmt.Printf("sfdmon: heartbeating to %s %s (from %s)\n", to, how, udp.Addr())
-	waitForExit(duration)
+	fmt.Printf("sfdmon: heartbeating to %s %s (from %s)\n", c.to, how, udp.Addr())
+	waitForExit(c.duration)
 	snd.Stop()
 	fmt.Printf("sfdmon: sent %d heartbeats\n", snd.Sent())
 	if ctl != nil {
@@ -279,25 +316,6 @@ func runSender(to string, interval time.Duration, jitter float64, ramp time.Dura
 		fmt.Printf("sfdmon: chaos injected loss=%d partition=%d delayed=%d reordered=%d duplicated=%d truncated=%d\n",
 			c.LossDrops, c.PartDrops, c.Delayed, c.Reordered, c.Duplicated, c.Truncated)
 	}
-}
-
-// gossipConfig carries the -gossip* flags into runMonitor.
-type gossipConfig struct {
-	peers    []string
-	id       string
-	interval time.Duration
-	quorum   int
-	seed     int64
-}
-
-// fedConfig carries the -federate/-fed-* flags into runMonitor.
-type fedConfig struct {
-	agg      string
-	aggs     []string // ordered HA list; supersedes agg when set
-	id       string
-	region   string
-	cohorts  []string
-	interval time.Duration
 }
 
 func splitPeers(s string) []string {
@@ -310,14 +328,15 @@ func splitPeers(s string) []string {
 	return out
 }
 
-func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets, evict, duration time.Duration, gc *gossipConfig, pprofOn bool, chaosSc *sfd.ChaosScenario, stateDir string, checkpoint time.Duration, fc *fedConfig, rxQueues, rxBatch int) {
+func runMonitor(c *config) {
 	// The chaos wrapper pumps only the primary receive channel, so a
 	// scenario forces the transport back to a single ingest queue.
-	if chaosSc != nil && rxQueues > 1 {
+	rxQueues := c.rxQueues
+	if c.chaos != nil && rxQueues > 1 {
 		fmt.Fprintln(os.Stderr, "sfdmon: -chaos forces -rxqueues=1 (the chaos pump drains one queue)")
 		rxQueues = 1
 	}
-	udp, err := sfd.ListenUDPOpts(listen, sfd.UDPOptions{Queues: rxQueues, Batch: rxBatch})
+	udp, err := sfd.ListenUDPOpts(c.listen, sfd.UDPOptions{Queues: rxQueues, Batch: c.rxBatch})
 	if err != nil {
 		fatal(err)
 	}
@@ -328,36 +347,36 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 	// A monitor-side scenario sits between the socket and the receiver,
 	// impairing the live inbound heartbeat/gossip stream.
 	var ctl *sfd.ChaosController
-	if chaosSc != nil {
-		ctl = sfd.NewChaosController(clk, chaosSc.Seed)
+	if c.chaos != nil {
+		ctl = sfd.NewChaosController(clk, c.chaos.Seed)
 		cep := sfd.WrapChaos(ep, ctl)
 		cep.Start()
 		defer cep.Close()
 		ep = cep
-		if err := ctl.Play(*chaosSc); err != nil {
+		if err := ctl.Play(*c.chaos); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("sfdmon: chaos scenario %q armed (seed %d, %d steps)\n",
-			chaosSc.Name, ctl.Seed(), len(chaosSc.Steps))
+			c.chaos.Name, ctl.Seed(), len(c.chaos.Steps))
 	}
 
-	reg := sfd.NewRegistry(clk, sfd.SFDFactory(targets), sfd.RegistryOptions{
-		EvictAfter:         evict,
-		StateDir:           stateDir,
-		CheckpointInterval: checkpoint,
+	reg := sfd.NewRegistry(clk, sfd.SFDFactory(c.targets), sfd.RegistryOptions{
+		EvictAfter:         c.evict,
+		StateDir:           c.stateDir,
+		CheckpointInterval: c.checkpoint,
 	})
 	reg.Start()
 	defer reg.Stop()
-	if stateDir != "" {
+	if c.stateDir != "" {
 		// Start restored any valid snapshot (warm restart) and armed the
 		// checkpointer; report what it found.
 		switch n, err := reg.RestoredStreams(); {
 		case err != nil && errors.Is(err, sfd.ErrNoSnapshot):
-			fmt.Printf("sfdmon: no state snapshot in %s (cold start), checkpointing every %v\n", stateDir, checkpoint)
+			fmt.Printf("sfdmon: no state snapshot in %s (cold start), checkpointing every %v\n", c.stateDir, c.checkpoint)
 		case err != nil:
 			fmt.Fprintf(os.Stderr, "sfdmon: state restore failed, cold start: %v\n", err)
 		default:
-			fmt.Printf("sfdmon: warm restart: restored %d streams from %s\n", n, stateDir)
+			fmt.Printf("sfdmon: warm restart: restored %d streams from %s\n", n, c.stateDir)
 		}
 	}
 	recv := sfd.NewHeartbeatReceiver(ep, clk, reg.Observe)
@@ -365,12 +384,12 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 	// Gossip shares the heartbeat socket: digests (magic "SG") fall
 	// through the receiver's heartbeat decoder into the gossiper.
 	var gsp *sfd.Gossiper
-	if gc != nil {
-		gsp = sfd.NewGossiper(ep, clk, reg, gc.peers, sfd.GossipOptions{
-			ID:       gc.id,
-			Interval: gc.interval,
-			Quorum:   gc.quorum,
-			Seed:     gc.seed,
+	if c.gossipOn {
+		gsp = sfd.NewGossiper(ep, clk, reg, splitPeers(c.gossipPeers), sfd.GossipOptions{
+			ID:       c.gossipID,
+			Interval: c.gossipInterval,
+			Quorum:   c.gossipQuorum,
+			Seed:     c.gossipSeed,
 		})
 		gsp.Start()
 		defer gsp.Stop()
@@ -379,23 +398,27 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 	// Federation shares it too: assignment tables (magic "FD") arrive on
 	// the same socket the leaf pushes digests through.
 	var leaf *sfd.FederationLeaf
-	if fc != nil {
-		id := fc.id
+	if c.fedAgg != "" || c.fedAggs != "" {
+		id := c.fedID
 		if id == "" {
 			id = ep.Addr()
 		}
 		opts := sfd.FederationLeafOptions{
 			ID:       id,
-			Region:   fc.region,
-			Cohorts:  fc.cohorts,
-			Interval: fc.interval,
-			Aggs:     fc.aggs,
+			Region:   c.fedRegion,
+			Cohorts:  splitPeers(c.fedCohorts),
+			Interval: c.fedInterval,
+			Aggs:     splitPeers(c.fedAggs),
 		}
 		if gsp != nil {
 			opts.WeightFn = gsp.Weight // gossip accuracy feeds re-delegation preference
 		}
+		agg := c.fedAgg
+		if agg == "" && len(opts.Aggs) > 0 {
+			agg = opts.Aggs[0]
+		}
 		var err error
-		leaf, err = sfd.NewFederationLeaf(ep, clk, reg, fc.agg, opts)
+		leaf, err = sfd.NewFederationLeaf(ep, clk, reg, agg, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -431,11 +454,11 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 		ctl.InstrumentMetrics(reg.Metrics())
 	}
 
-	fmt.Printf("sfdmon: monitoring on %s (targets %v)\n", ep.Addr(), targets)
+	fmt.Printf("sfdmon: monitoring on %s (targets %v)\n", ep.Addr(), c.targets)
 	fmt.Printf("sfdmon: ingest: %d queue(s), batched reads %v\n", udp.RecvQueues(), udp.Batched())
 	if gsp != nil {
 		fmt.Printf("sfdmon: gossiping as %s with %v (quorum %d, every %v)\n",
-			gsp.ID(), gsp.Peers(), gc.quorum, gsp.Options().Interval)
+			gsp.ID(), gsp.Peers(), c.gossipQuorum, gsp.Options().Interval)
 	}
 	if leaf != nil {
 		fmt.Printf("sfdmon: federating as leaf %s to %v (%d cohorts, every %v)\n",
@@ -455,7 +478,7 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 		}
 	}()
 
-	if serve != "" {
+	if c.serve != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", reg.Handler())
 		surfaces := "/status (also /vars, /metrics, /healthz"
@@ -467,7 +490,7 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 			mux.Handle("/chaos", ctl.Handler())
 			surfaces += ", /chaos"
 		}
-		if pprofOn {
+		if c.pprofOn {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -475,19 +498,19 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			surfaces += ", /debug/pprof"
 		}
-		srv := &http.Server{Addr: serve, Handler: mux}
+		srv := &http.Server{Addr: c.serve, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "sfdmon: http: %v\n", err)
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("sfdmon: serving http://%s%s)\n", serve, surfaces)
+		fmt.Printf("sfdmon: serving http://%s%s)\n", c.serve, surfaces)
 	}
 
-	ticker := time.NewTicker(refresh)
+	ticker := time.NewTicker(c.refresh)
 	defer ticker.Stop()
-	done := exitChan(duration)
+	done := exitChan(c.duration)
 loop:
 	for {
 		select {
@@ -519,8 +542,8 @@ loop:
 		gsp.Stop()
 	}
 	reg.Stop()
-	if stateDir != "" {
-		fmt.Printf("sfdmon: final state snapshot flushed to %s\n", stateDir)
+	if c.stateDir != "" {
+		fmt.Printf("sfdmon: final state snapshot flushed to %s\n", c.stateDir)
 	}
 }
 
@@ -534,65 +557,66 @@ loop:
 // up by anti-entropy. With -serve it exposes GET /fleet (merged fleet,
 // HA role, peers, re-delegation history) alongside the leaf-liveness
 // registry's /status, /vars, /metrics.
-func runAggregate(listen, serve, id, region string, peers []string, inc uint64, interval, refresh, duration time.Duration, pprofOn bool) {
-	udp, err := sfd.ListenUDP(listen)
+func runAggregate(c *config) {
+	udp, err := sfd.ListenUDP(c.listen)
 	if err != nil {
 		fatal(err)
 	}
 	defer udp.Close()
 	clk := sfd.NewRealClock()
 
+	id, peers := c.fedID, splitPeers(c.fedPeer)
 	if id == "" {
 		id = udp.Addr()
 	}
 	agg := sfd.NewFederationAggregator(udp, clk, sfd.FederationAggregatorOptions{
 		ID:             id,
-		Region:         region,
+		Region:         c.fedRegion,
 		Peers:          peers,
-		Incarnation:    inc,
-		DigestInterval: interval,
+		Incarnation:    c.fedInc,
+		DigestInterval: c.fedInterval,
 	})
 	agg.Start()
 	defer agg.Stop()
 	go sfd.Pump(udp, func(in sfd.Inbound) { agg.HandleDatagram(in.From, in.Payload) })
 
-	fmt.Printf("sfdmon: aggregating on %s as %s (digest interval %v)\n", udp.Addr(), id, interval)
+	fmt.Printf("sfdmon: aggregating on %s as %s (digest interval %v)\n", udp.Addr(), id, c.fedInterval)
 	if len(peers) > 0 {
-		fmt.Printf("sfdmon: HA pair with %v (incarnation %d, lowest alive id leads)\n", peers, inc)
+		fmt.Printf("sfdmon: HA pair with %v (incarnation %d, lowest alive id leads)\n", peers, c.fedInc)
 	}
 
-	if serve != "" {
+	if c.serve != "" {
 		liveness := agg.Liveness()
 		agg.InstrumentMetrics(liveness.Metrics())
 		mux := http.NewServeMux()
 		mux.Handle("/", liveness.Handler()) // leaf liveness: /status, /vars, /metrics, /healthz
 		mux.Handle("/fleet", agg.Handler())
-		if pprofOn {
+		if c.pprofOn {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 		}
-		srv := &http.Server{Addr: serve, Handler: mux}
+		srv := &http.Server{Addr: c.serve, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "sfdmon: http: %v\n", err)
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("sfdmon: serving http://%s/fleet (also /status, /vars, /metrics, /healthz)\n", serve)
+		fmt.Printf("sfdmon: serving http://%s/fleet (also /status, /vars, /metrics, /healthz)\n", c.serve)
 	}
 
-	ticker := time.NewTicker(refresh)
+	ticker := time.NewTicker(c.refresh)
 	defer ticker.Stop()
-	done := exitChan(duration)
+	done := exitChan(c.duration)
 loop:
 	for {
 		select {
 		case <-done:
 			break loop
 		case <-ticker.C:
-			c := agg.Counters()
+			n := agg.Counters()
 			fmt.Printf("fed: role=%s leaves=%d/%d cohorts=%d (orphans=%d) streams=%d digests=%d stale=%d bad=%d redelegations=%d assign-v%d\n",
-				agg.Role(), c.LiveLeaves, c.Leaves, c.Cohorts, c.OrphanedCohorts, c.FleetStreams,
-				c.DigestsReceived, c.DigestsStale, c.DigestsBad, c.Redelegations, agg.AssignVersion())
+				agg.Role(), n.LiveLeaves, n.Leaves, n.Cohorts, n.OrphanedCohorts, n.FleetStreams,
+				n.DigestsReceived, n.DigestsStale, n.DigestsBad, n.Redelegations, agg.AssignVersion())
 		}
 	}
 	fmt.Println("sfdmon: shutting down")
@@ -607,17 +631,17 @@ loop:
 // capped exponential backoff (500ms doubling to 15s, reset after any
 // successful connection) instead of exiting — a 503 from a monitor at
 // its watch-connection cap is retried the same way.
-func runWatch(base, filter string, buf, max int, duration time.Duration, retry bool) {
+func runWatch(c *config) {
 	q := url.Values{}
-	q.Set("filter", filter)
-	if buf > 0 {
-		q.Set("buf", strconv.Itoa(buf))
+	q.Set("filter", c.watchFilter)
+	if c.watchBuf > 0 {
+		q.Set("buf", strconv.Itoa(c.watchBuf))
 	}
-	if max > 0 {
-		q.Set("max", strconv.Itoa(max))
+	if c.watchMax > 0 {
+		q.Set("max", strconv.Itoa(c.watchMax))
 	}
-	target := strings.TrimRight(base, "/") + "/watch?" + q.Encode()
-	done := exitChan(duration)
+	target := strings.TrimRight(c.watchURL, "/") + "/watch?" + q.Encode()
+	done := exitChan(c.duration)
 
 	const (
 		backoffMin = 500 * time.Millisecond
@@ -626,7 +650,7 @@ func runWatch(base, filter string, buf, max int, duration time.Duration, retry b
 	backoff := backoffMin
 	total := 0
 	for {
-		lines, err := watchOnce(target, base, filter, done)
+		lines, err := watchOnce(target, c.watchURL, c.watchFilter, done)
 		total += lines
 		select {
 		case <-done: // local shutdown: a read error on the closed body is expected
@@ -634,7 +658,7 @@ func runWatch(base, filter string, buf, max int, duration time.Duration, retry b
 			return
 		default:
 		}
-		if !retry {
+		if !c.watchRetry {
 			if err != nil {
 				fatal(err)
 			}
@@ -710,7 +734,12 @@ func runDemo() {
 	defer sndEP.Close()
 
 	clk := sfd.NewRealClock()
-	mon := sfd.NewMonitor(clk, sfd.SFDFactory(sfd.Targets{MaxTD: time.Second, MaxMR: 1, MinQAP: 0.99}), sfd.MonitorOptions{})
+	// Detector verdicts only: no silence net, and the crashed sender
+	// stays on the board.
+	mon := sfd.NewRegistry(clk, sfd.SFDFactory(sfd.Targets{MaxTD: time.Second, MaxMR: 1, MinQAP: 0.99}),
+		sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1})
+	mon.Start()
+	defer mon.Stop()
 	recv := sfd.NewHeartbeatReceiver(monEP, clk, mon.Observe)
 	recv.Start()
 
@@ -726,7 +755,7 @@ func runDemo() {
 	printDemo(mon, clk, "after crash")
 }
 
-func printDemo(mon *sfd.Monitor, clk sfd.Clock, label string) {
+func printDemo(mon *sfd.Registry, clk sfd.Clock, label string) {
 	for _, r := range mon.Snapshot(clk.Now()) {
 		fmt.Printf("demo [%s]: peer=%s status=%s suspicion=%.3f\n",
 			label, r.Peer, r.Status, r.SuspicionLevel)

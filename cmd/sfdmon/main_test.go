@@ -1,0 +1,63 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
+
+func TestValidate(t *testing.T) {
+	cases := []struct {
+		args string
+		want string // substring of the error; "" = valid
+	}{
+		{"", ""}, // the demo default
+		{"-mode monitor", ""},
+		{"-mode aggregate", ""},
+		{"-mode watch", ""},
+		{"-mode send", ""},
+		{"-mode monitor -refresh 250ms -evict -1s", ""},
+		{"-mode monitor -gossip -gossip-peers 10.0.0.3:7946", ""},
+		{"-mode monitor -chaos 2s+10s:loss(rate=0.4,burst=6)", ""},
+
+		// Reached time.NewTicker and panicked before validate existed.
+		{"-mode monitor -refresh 0", "-refresh must be positive"},
+		{"-mode monitor -refresh -1s", "-refresh must be positive"},
+		{"-mode aggregate -refresh 0", "-refresh must be positive"},
+		{"-mode aggregate -refresh -5ms", "-refresh must be positive"},
+		// -refresh is a monitor/aggregate flag: other modes ignore it.
+		{"-mode send -refresh 0", ""},
+		{"-mode watch -refresh 0", ""},
+
+		{"-mode send -to ", "-to host:port"},
+		{"-mode send -interval 0", "-interval must be positive"},
+		{"-mode send -jitter 1", "-jitter must be in [0,1)"},
+		{"-mode send -jitter -0.1", "-jitter must be in [0,1)"},
+		{"-mode send -ramp -1s", "-ramp must be non-negative"},
+		{"-mode monitor -gossip", "-gossip requires -gossip-peers"},
+		{"-mode monitor -gossip -gossip-peers ,", "-gossip requires -gossip-peers"},
+		{"-mode aggregate -gossip", ""}, // a monitor flag
+		{"-mode monitor -chaos nonsense(", "-chaos:"},
+		{"-mode serve", `unknown mode "serve"`},
+	}
+	for _, tc := range cases {
+		var c config
+		fs := flag.NewFlagSet("sfdmon", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.bind(fs)
+		if err := fs.Parse(strings.Split(tc.args, " ")); err != nil {
+			t.Errorf("%q: flags did not parse: %v", tc.args, err)
+			continue
+		}
+		err := c.validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: rejected: %v", tc.args, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%q: accepted, want an error containing %q", tc.args, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%q: error %q, want it to contain %q", tc.args, err, tc.want)
+		}
+	}
+}

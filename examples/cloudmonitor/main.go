@@ -20,7 +20,10 @@ func main() {
 		Interval:        100 * time.Millisecond,
 		Jitter:          2 * time.Millisecond,
 		Factory:         sfd.SFDFactory(targets),
-		Seed:            2012, // IPDPS 2012
+		// Detector verdicts only: no silence net, and crashed servers
+		// stay on the board.
+		Options: sfd.RegistryOptions{MaxSilence: -1, EvictAfter: -1},
+		Seed:    2012, // IPDPS 2012
 	})
 
 	fmt.Println("consortium: 5 education clouds × 3 servers, cross-monitored managers")
@@ -74,7 +77,7 @@ func printCloud(con *sfd.Consortium, name, label string) {
 	} else {
 		fmt.Printf("%s cloud:\n", name)
 	}
-	for _, r := range cl.Manager.Mon.Snapshot(now) {
+	for _, r := range cl.Manager.Reg.Snapshot(now) {
 		fmt.Printf("  %-14s %-10s level=%.2f\n", r.Peer, r.Status, r.SuspicionLevel)
 	}
 }

@@ -32,15 +32,20 @@ func main() {
 		JitterStd:  6 * time.Millisecond,
 	}, 494)
 
-	mon := sc.AddMonitor("observatory", sfd.SFDFactory(targets), sfd.MonitorOptions{
+	mon := sc.AddMonitor("observatory", sfd.SFDFactory(targets), sfd.RegistryOptions{
 		OfflineAfter: 8 * time.Second,
+		// Detector verdicts only: no silence net, and dead nodes stay on
+		// the board to be investigated.
+		MaxSilence: -1, EvictAfter: -1,
 	})
 
 	names := make([]string, nNodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node-%03d", i)
 		s := sc.AddSender(names[i], 200*time.Millisecond, 10*time.Millisecond, "observatory")
-		mon.Mon.Watch(names[i])
+		if err := mon.Reg.Register(names[i]); err != nil {
+			panic(err)
+		}
 		switch {
 		case i < nBusy:
 			s.SetBusy(300 * time.Millisecond) // heavy loaded → slow
@@ -66,7 +71,7 @@ func main() {
 	now := sc.Clk.Now()
 	counts := map[sfd.PeerStatus]int{}
 	var suspects []string
-	for _, r := range mon.Mon.Snapshot(now) {
+	for _, r := range mon.Reg.Snapshot(now) {
 		counts[r.Status]++
 		if r.Status >= sfd.PeerSuspected {
 			suspects = append(suspects, r.Peer)
@@ -90,7 +95,7 @@ func main() {
 
 	dead := 0
 	for i := nNodes - nCrashed; i < nNodes; i++ {
-		if st, _ := mon.Mon.StatusOf(names[i], now); st >= sfd.PeerSuspected {
+		if st, _ := mon.Reg.StatusOf(names[i], now); st >= sfd.PeerSuspected {
 			dead++
 		}
 	}

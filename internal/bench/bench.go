@@ -51,26 +51,26 @@ type Experiment struct {
 	Run   func(cfg Config, w io.Writer) error
 }
 
-var registry = map[string]Experiment{}
+var experiments = map[string]Experiment{}
 
-func register(e Experiment) { registry[e.ID] = e }
+func register(e Experiment) { experiments[e.ID] = e }
 
 // Get returns an experiment by ID.
 func Get(id string) (Experiment, bool) {
-	e, ok := registry[id]
+	e, ok := experiments[id]
 	return e, ok
 }
 
 // All returns every experiment in a stable order.
 func All() []Experiment {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
+	ids := make([]string, 0, len(experiments))
+	for id := range experiments {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	out := make([]Experiment, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, registry[id])
+		out = append(out, experiments[id])
 	}
 	return out
 }

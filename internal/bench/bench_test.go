@@ -60,7 +60,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestTable1ListsSixPairs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := registry["table1"].Run(Config{}, &buf); err != nil {
+	if err := experiments["table1"].Run(Config{}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -84,7 +84,7 @@ func TestTable1ListsSixPairs(t *testing.T) {
 
 func TestTable2RowsPerEnvironment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := registry["table2"].Run(Config{Heartbeats: 30_000}, &buf); err != nil {
+	if err := experiments["table2"].Run(Config{Heartbeats: 30_000}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,4 +1,4 @@
-package cluster
+package bench
 
 import (
 	"fmt"
@@ -6,16 +6,18 @@ import (
 	"sort"
 
 	"repro/internal/clock"
+	"repro/internal/federate"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
-	"repro/internal/stats"
+	"repro/internal/registry"
 )
 
 // SimCluster is a deterministic multi-node monitoring deployment over the
-// network simulator: heartbeat senders and monitors wired through
-// simulated WAN links, driven by a simulated clock. It is the testbed for
-// the Fig. 1 consortium scenario, the crash-injection benchmarks, and the
-// "one monitors multiple" claims.
+// network simulator: heartbeat senders and monitors — one registry each,
+// started on the shared simulated clock — wired through simulated WAN
+// links. It is the testbed for the Fig. 1 consortium scenario (§VII: "one
+// monitors multiple", "multiple monitor multiple"), the crash-injection
+// benchmarks, and the examples.
 type SimCluster struct {
 	Clk *clock.Sim
 	Net *netsim.Network
@@ -41,7 +43,7 @@ func NewSimCluster(def netsim.LinkParams, seed int64) *SimCluster {
 type SimSender struct {
 	name     string
 	node     *netsim.Node
-	clk      *clock.Sim
+	c        *SimCluster
 	rng      *rand.Rand
 	interval clock.Duration
 	jitter   clock.Duration // extra uniform delay per beat (OS scheduling noise)
@@ -57,10 +59,10 @@ type SimSender struct {
 // to the listed monitor addresses.
 func (c *SimCluster) AddSender(name string, interval, jitter clock.Duration, targets ...string) *SimSender {
 	if _, dup := c.senders[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate sender %q", name))
+		panic(fmt.Sprintf("bench: duplicate sender %q", name))
 	}
 	s := &SimSender{
-		name: name, node: c.Net.AddNode(name, 64), clk: c.Clk,
+		name: name, node: c.Net.AddNode(name, 64), c: c,
 		rng:      rand.New(rand.NewSource(c.rng.Int63())),
 		interval: interval, jitter: jitter, targets: append([]string(nil), targets...),
 	}
@@ -70,7 +72,7 @@ func (c *SimCluster) AddSender(name string, interval, jitter clock.Duration, tar
 }
 
 func (s *SimSender) scheduleNext(d clock.Duration) {
-	s.clk.AfterFunc(d, func(now clock.Time) {
+	s.c.Clk.AfterFunc(d, func(now clock.Time) {
 		if s.crashed {
 			return
 		}
@@ -88,11 +90,19 @@ func (s *SimSender) scheduleNext(d clock.Duration) {
 	})
 }
 
-// Crash stops the server's heartbeats permanently, recording the instant.
+// Crash stops the server's heartbeats permanently, recording the instant
+// — also as ground truth with every monitor the server heartbeats to, so
+// each registry's DetectionLatency scores the suspicion that follows.
 func (s *SimSender) Crash() {
-	if !s.crashed {
-		s.crashed = true
-		s.crashAt = s.clk.Now()
+	if s.crashed {
+		return
+	}
+	s.crashed = true
+	s.crashAt = s.c.Clk.Now()
+	for _, t := range s.targets {
+		if m := s.c.monitors[t]; m != nil {
+			m.Reg.MarkFailure(s.name, s.crashAt)
+		}
 	}
 }
 
@@ -111,27 +121,38 @@ func (s *SimSender) SetBusy(extra clock.Duration) {
 // Sent returns the number of heartbeats emitted.
 func (s *SimSender) Sent() uint64 { return s.seq }
 
-// SimMonitor couples a network node with a Monitor, decoding heartbeat
+// SimMonitor couples a network node with a registry, decoding heartbeat
 // datagrams from the node's inbox.
 type SimMonitor struct {
 	name string
 	node *netsim.Node
-	Mon  *Monitor
+	Reg  *registry.Registry
 }
 
-// AddMonitor registers a monitoring process using the given detector
-// factory and options.
-func (c *SimCluster) AddMonitor(name string, factory Factory, opts Options) *SimMonitor {
+// AddMonitor registers a monitoring process: a registry with the given
+// detector factory and options, its timer wheel driven by the cluster's
+// clock.
+func (c *SimCluster) AddMonitor(name string, factory registry.Factory, opts registry.Options) *SimMonitor {
 	if _, dup := c.monitors[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate monitor %q", name))
+		panic(fmt.Sprintf("bench: duplicate monitor %q", name))
 	}
 	m := &SimMonitor{
 		name: name,
 		node: c.Net.AddNode(name, 4096),
-		Mon:  NewMonitor(c.Clk, factory, opts),
+		Reg:  registry.New(c.Clk, factory, opts),
 	}
+	m.Reg.Start()
 	c.monitors[name] = m
 	return m
+}
+
+// watch registers a peer ahead of its first heartbeat, so it reads as
+// unknown rather than untracked. The names are the scenario's own node
+// names; one the registry rejects is a scenario bug.
+func (m *SimMonitor) watch(peer string) {
+	if err := m.Reg.Register(peer); err != nil {
+		panic(fmt.Sprintf("bench: monitor %q: %v", m.name, err))
+	}
 }
 
 // pump drains the monitor's inbox into its detectors.
@@ -145,7 +166,7 @@ func (m *SimMonitor) pump() {
 		if err != nil || msg.Kind != heartbeat.KindHeartbeat {
 			continue
 		}
-		m.Mon.Observe(heartbeat.Arrival{From: in.From, Seq: msg.Seq, Send: msg.Time, Recv: in.At})
+		m.Reg.Observe(heartbeat.Arrival{From: in.From, Seq: msg.Seq, Send: msg.Time, Recv: in.At})
 	}
 }
 
@@ -199,10 +220,8 @@ func (c *SimCluster) DetectCrash(monitor, peer string, maxWait clock.Duration) (
 	for c.Clk.Now().Before(deadline) {
 		c.Clk.Advance(step)
 		m.pump()
-		if st, ok := m.Mon.StatusOf(peer, c.Clk.Now()); ok && st >= StatusSuspected {
-			lat := c.Clk.Now().Sub(at)
-			m.Mon.RecordDetectionLatency(lat)
-			return lat, true
+		if st, ok := m.Reg.StatusOf(peer, c.Clk.Now()); ok && st >= registry.StatusSuspected {
+			return c.Clk.Now().Sub(at), true
 		}
 	}
 	return 0, false
@@ -233,8 +252,8 @@ type ConsortiumConfig struct {
 	Jitter          clock.Duration
 	IntraCloud      netsim.LinkParams // manager ↔ own servers
 	InterCloud      netsim.LinkParams // manager ↔ manager (WAN)
-	Factory         Factory
-	Options         Options
+	Factory         registry.Factory
+	Options         registry.Options
 	Seed            int64
 }
 
@@ -281,7 +300,7 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 		for i := 0; i < cfg.ServersPerCloud; i++ {
 			srvName := fmt.Sprintf("%s/server-%d", name, i)
 			s := sc.AddSender(srvName, cfg.Interval, cfg.Jitter, managerAddr(name))
-			cl.Manager.Mon.Watch(srvName)
+			cl.Manager.watch(srvName)
 			cl.Servers = append(cl.Servers, s)
 		}
 	}
@@ -303,7 +322,7 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 				continue
 			}
 			sc.Net.SetLink(beaconName, managerAddr(b), cfg.InterCloud)
-			con.Clouds[b].Manager.Mon.Watch(beaconName)
+			con.Clouds[b].Manager.watch(beaconName)
 		}
 	}
 	return con
@@ -312,28 +331,42 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 // CrossCloudQuorum returns a Quorum over every cloud manager except the
 // named cloud's own (a cloud cannot vote on itself).
 func (c *Consortium) CrossCloudQuorum(excludeCloud string) Quorum {
-	var mons []*Monitor
 	names := make([]string, 0, len(c.Clouds))
 	for n := range c.Clouds {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	var q Quorum
 	for _, n := range names {
-		if n == excludeCloud {
-			continue
+		if n != excludeCloud {
+			q.Monitors = append(q.Monitors, c.Clouds[n].Manager.Reg)
 		}
-		mons = append(mons, c.Clouds[n].Manager.Mon)
 	}
-	return Quorum{Monitors: mons}
+	return q
 }
 
-// LatencySummary aggregates detection latencies recorded across all of a
-// consortium's managers.
-func (c *Consortium) LatencySummary() (w stats.Welford) {
-	for _, cl := range c.Clouds {
-		if p50, _, ok := cl.Manager.Mon.DetectionLatency(); ok {
-			w.Add(float64(p50))
+// Quorum aggregates several monitors' views of the same peer set — the
+// "multiple monitor multiple" deployment of §VII. A peer is suspected
+// globally when at least Need monitors classify it at or above
+// StatusSuspected; this masks individual monitors' wrong suspicions
+// caused by their own network paths.
+type Quorum struct {
+	Monitors []federate.StatusSource
+	Need     int
+}
+
+// Suspected reports whether the quorum suspects the peer at instant now,
+// along with the per-monitor vote count.
+func (q Quorum) Suspected(peer string, now clock.Time) (bool, int) {
+	votes := 0
+	for _, m := range q.Monitors {
+		if st, ok := m.StatusOf(peer, now); ok && st >= registry.StatusSuspected {
+			votes++
 		}
 	}
-	return w
+	need := q.Need
+	if need <= 0 {
+		need = len(q.Monitors)/2 + 1
+	}
+	return votes >= need, votes
 }

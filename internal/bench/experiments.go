@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/qos"
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
 
@@ -225,20 +225,23 @@ func runCluster(cfg Config, w io.Writer) error {
 		c.Targets = DefaultTargets()
 		return core.New(c)
 	}
-	con := cluster.BuildConsortium(cluster.ConsortiumConfig{
+	con := BuildConsortium(ConsortiumConfig{
 		ServersPerCloud: 3,
 		Interval:        100 * clock.Millisecond,
 		Jitter:          2 * clock.Millisecond,
 		Factory:         factory,
-		Seed:            42,
+		// Statuses come from the detectors alone: no silence net under
+		// them, and a crashed server stays on the board.
+		Options: registry.Options{MaxSilence: -1, EvictAfter: -1},
+		Seed:    42,
 	})
 	con.RunFor(30*clock.Second, 10*clock.Millisecond)
 
 	now := con.Clk.Now()
 	active := 0
 	for _, cl := range con.Clouds {
-		for _, r := range cl.Manager.Mon.Snapshot(now) {
-			if r.Status == cluster.StatusActive {
+		for _, r := range cl.Manager.Reg.Snapshot(now) {
+			if r.Status == registry.StatusActive {
 				active++
 			}
 		}
@@ -249,16 +252,8 @@ func runCluster(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "%-14s %-14s %s\n", "cloud", "crashed", "detection latency")
 	var lat []clock.Duration
 	for _, name := range []string{"GA", "SC", "NC", "VA", "MD"} {
-		cl := con.Clouds[name]
-		srv := cl.Servers[0]
-		srv.Crash()
-		peers := cl.Manager.Mon.Peers()
-		var peerName string
-		for _, p := range peers {
-			if p == name+"/server-0" {
-				peerName = p
-			}
-		}
+		peerName := name + "/server-0"
+		con.Sender(peerName).Crash()
 		d, ok := con.DetectCrash(name+"/manager", peerName, 10*clock.Second)
 		if !ok {
 			return fmt.Errorf("cluster: %s crash not detected", peerName)

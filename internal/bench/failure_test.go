@@ -1,4 +1,4 @@
-package cluster
+package bench
 
 import (
 	"testing"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 // Failure-injection scenarios across the monitoring stack: partitions,
@@ -17,17 +18,17 @@ import (
 
 func TestPartitionCausesSuspicionHealRestores(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 21)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), detectorOnly)
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	mon.watch("p")
 	sc.RunFor(10*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("pre-partition status %v", st)
 	}
 
 	sc.Net.Partition("p", "q")
 	sc.RunFor(2*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st < StatusSuspected {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st < registry.StatusSuspected {
 		t.Fatalf("status during partition %v, want suspected", st)
 	}
 
@@ -35,16 +36,16 @@ func TestPartitionCausesSuspicionHealRestores(t *testing.T) {
 	// After healing, heartbeats resume; once the window re-learns the
 	// schedule the server must be trusted again.
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after heal %v, want active", st)
 	}
 }
 
 func TestPartitionFlappingNeverWedgesMonitor(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 22)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), detectorOnly)
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	mon.watch("p")
 	sc.RunFor(8*clock.Second, 10*msK)
 
 	// 10 cycles of 1s cut / 2s heal.
@@ -57,7 +58,7 @@ func TestPartitionFlappingNeverWedgesMonitor(t *testing.T) {
 	// Long calm period: the monitor must converge back to active, not
 	// wedge in suspected (state machine correctness under flapping).
 	sc.RunFor(60*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after flapping settled: %v, want active", st)
 	}
 }
@@ -67,15 +68,15 @@ func TestLongOutageThenRecoveryWithSFD(t *testing.T) {
 		return core.New(core.Config{WindowSize: 50, Interval: 100 * msK, InitialMargin: 200 * msK})
 	}
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 23)
-	mon := sc.AddMonitor("q", factory, Options{OfflineAfter: 5 * clock.Second})
+	mon := sc.AddMonitor("q", factory, registry.Options{OfflineAfter: 5 * clock.Second, MaxSilence: -1, EvictAfter: -1})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	mon.watch("p")
 	sc.RunFor(10*clock.Second, 10*msK)
 
 	// 30-second outage: suspected, then declared offline.
 	sc.Net.Partition("p", "q")
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusOffline {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusOffline {
 		t.Fatalf("status after long outage %v, want offline", st)
 	}
 
@@ -84,7 +85,7 @@ func TestLongOutageThenRecoveryWithSFD(t *testing.T) {
 	// heartbeats must be reinstated.
 	sc.Net.Heal("p", "q")
 	sc.RunFor(60*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after outage recovery %v, want active", st)
 	}
 }
@@ -94,16 +95,16 @@ func TestClockJumpBehavesLikePause(t *testing.T) {
 	// land at the jump target. The monitor must suspect during the frozen
 	// span and recover afterward.
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 24)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), detectorOnly)
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	mon.watch("p")
 	sc.RunFor(10*clock.Second, 10*msK)
 
 	sc.Clk.Jump(5 * clock.Second) // everything pending lands "now"
 	// Immediately after the jump, arrivals that were in flight are all
 	// stamped at the landing instant; feed them and let the system run.
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Reg.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after clock jump %v, want active", st)
 	}
 }
@@ -115,8 +116,9 @@ func TestInboxSaturationDegradesGracefully(t *testing.T) {
 	clk := clock.NewSim(0)
 	net := netsim.New(clk, netsim.LinkParams{DelayBase: msK}, 25)
 	m := &SimMonitor{name: "q", node: net.AddNode("q", 2),
-		Mon: NewMonitor(clk, chenFactory(300*msK), Options{})}
-	m.Mon.Watch("p")
+		Reg: registry.New(clk, chenFactory(300*msK), detectorOnly)}
+	m.Reg.Start()
+	m.watch("p")
 	sender := net.AddNode("p", 4)
 
 	// Blast 50 heartbeats per pump window; only ~2 survive each round.
@@ -132,7 +134,7 @@ func TestInboxSaturationDegradesGracefully(t *testing.T) {
 		clk.Advance(100 * msK)
 		m.pump()
 	}
-	snap := m.Mon.Snapshot(clk.Now())
+	snap := m.Reg.Snapshot(clk.Now())
 	if len(snap) != 1 || snap[0].LastSeq == 0 {
 		t.Fatalf("monitor made no progress under saturation: %+v", snap)
 	}
@@ -152,15 +154,14 @@ func TestSFDReactsToNetworkDegradation(t *testing.T) {
 		})
 	}
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK, JitterMean: msK, JitterStd: msK}, 26)
-	mon := sc.AddMonitor("q", factory, Options{})
+	mon := sc.AddMonitor("q", factory, detectorOnly)
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	mon.watch("p")
 	sc.RunFor(60*clock.Second, 10*msK)
 
+	// The sim is single-threaded, so the detector can be held past Inspect.
 	var det *core.SFD
-	mon.Mon.mu.Lock()
-	det = mon.Mon.peers["p"].det.(*core.SFD)
-	mon.Mon.mu.Unlock()
+	mon.Reg.Inspect("p", func(d detector.Detector) { det = d.(*core.SFD) })
 	calmMargin := det.Margin()
 
 	// Degrade the network violently.

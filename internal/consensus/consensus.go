@@ -30,10 +30,10 @@ import (
 	"sort"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 // msgKind discriminates consensus wire messages.
@@ -75,7 +75,7 @@ type Process struct {
 	names []string
 	node  *netsim.Node
 	clk   *clock.Sim
-	mon   *cluster.Monitor
+	mon   *registry.Registry
 
 	estimate string
 	ts       int
@@ -114,7 +114,7 @@ type Options struct {
 	N          int               // number of processes (≥ 3)
 	Link       netsim.LinkParams // consensus + heartbeat links (should be loss-free for liveness)
 	HBInterval clock.Duration    // heartbeat period (default 50 ms)
-	Factory    cluster.Factory   // detector per peer (default: Chen with 4×HBInterval margin)
+	Factory    registry.Factory  // detector per peer (default: Chen with 4×HBInterval margin)
 	Seed       int64
 	// StartDelay postpones the consensus protocol (heartbeats flow from
 	// t=0) so detectors build arrival history first — the paper's
@@ -156,16 +156,23 @@ func New(opts Options) *Cluster {
 			id: i, n: opts.N, names: names,
 			node: net.AddNode(names[i], 4096),
 			clk:  clk,
-			mon:  cluster.NewMonitor(clk, opts.Factory, cluster.Options{}),
-			ts:   -1, hbInterval: opts.HBInterval,
+			// The FD verdict is the detector's alone (an unknown
+			// coordinator gets the protocol's own grace period instead
+			// of a silence net), and suspected peers stay tracked.
+			mon: registry.New(clk, opts.Factory, registry.Options{MaxSilence: -1, EvictAfter: -1}),
+			ts:  -1, hbInterval: opts.HBInterval,
 			startAt:   clock.Time(opts.StartDelay),
 			estimates: make(map[int]message),
 			acks:      make(map[int]bool),
 			nacks:     make(map[int]bool),
 		}
+		p.mon.Start()
 		for j, name := range names {
-			if j != i {
-				p.mon.Watch(name)
+			if j == i {
+				continue
+			}
+			if err := p.mon.Register(name); err != nil {
+				panic(err) // names are generated above
 			}
 		}
 		c.Procs = append(c.Procs, p)
@@ -337,8 +344,8 @@ func (p *Process) step(now clock.Time) {
 		// the FD contract only promises *eventual* suspicion of crashed
 		// processes.
 		st, ok := p.mon.StatusOf(p.names[c], now)
-		suspected := ok && st >= cluster.StatusSuspected
-		if !suspected && st == cluster.StatusUnknown &&
+		suspected := ok && st >= registry.StatusSuspected
+		if !suspected && st == registry.StatusUnknown &&
 			now.Sub(p.waitingSince) > 20*p.hbInterval {
 			suspected = true
 		}

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 const msX = clock.Millisecond
@@ -206,7 +206,7 @@ func TestConsensusMonitorIntegration(t *testing.T) {
 	c.Run(60 * clock.Second)
 	now := c.Clk.Now()
 	st, ok := c.Procs[1].mon.StatusOf("p0", now)
-	if !ok || st < cluster.StatusSuspected {
+	if !ok || st < registry.StatusSuspected {
 		t.Fatalf("survivor's monitor sees p0 as %v (ok=%v)", st, ok)
 	}
 }

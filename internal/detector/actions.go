@@ -1,11 +1,10 @@
-package cluster
+package detector
 
 import (
 	"sort"
 	"sync"
 
 	"repro/internal/clock"
-	"repro/internal/detector"
 )
 
 // ActionFunc reacts to a peer's suspicion level crossing a threshold.
@@ -49,8 +48,21 @@ func (r *Reactor) On(threshold float64, name string, fn ActionFunc) {
 
 // Evaluate samples the peer's suspicion level and fires any newly crossed
 // actions. Call it periodically (or on arrival events). It returns the
-// names of the actions fired during this call.
+// names of the actions fired during this call. Actions run after the
+// reactor's lock is released, so they may call back into it, and one
+// that panics leaves the reactor usable (the episode counts as fired).
 func (r *Reactor) Evaluate(peer string, level float64, at clock.Time) []string {
+	var fired []string
+	for _, a := range r.crossed(peer, level) {
+		a.fn(peer, level, at)
+		fired = append(fired, a.name)
+	}
+	return fired
+}
+
+// crossed advances the peer's episode to level and returns the actions
+// that became due, in threshold order.
+func (r *Reactor) crossed(peer string, level float64) []reaction {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.actions) == 0 {
@@ -62,24 +74,16 @@ func (r *Reactor) Evaluate(peer string, level float64, at clock.Time) []string {
 		return nil
 	}
 	idx := r.fired[peer]
-	var firedNames []string
-	var toFire []reaction
+	first := idx
 	for idx < len(r.actions) && level >= r.actions[idx].threshold {
-		toFire = append(toFire, r.actions[idx])
-		firedNames = append(firedNames, r.actions[idx].name)
 		idx++
 	}
 	r.fired[peer] = idx
-	r.mu.Unlock()
-	for _, a := range toFire {
-		a.fn(peer, level, at)
-	}
-	r.mu.Lock()
-	return firedNames
+	return append([]reaction(nil), r.actions[first:idx]...)
 }
 
 // EvaluateDetector samples an accrual detector directly.
-func (r *Reactor) EvaluateDetector(peer string, det detector.Accrual, now clock.Time) []string {
+func (r *Reactor) EvaluateDetector(peer string, det Accrual, now clock.Time) []string {
 	return r.Evaluate(peer, det.SuspicionLevel(now), now)
 }
 

@@ -1,16 +1,19 @@
-package cluster
+package detector_test
 
 import (
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/detector"
 )
 
+const msK = clock.Millisecond
+
 func TestReactorFiresInThresholdOrder(t *testing.T) {
-	r := NewReactor()
+	r := detector.NewReactor()
 	var log []string
-	mk := func(name string) ActionFunc {
+	mk := func(name string) detector.ActionFunc {
 		return func(peer string, level float64, at clock.Time) { log = append(log, name) }
 	}
 	// Registered out of order on purpose.
@@ -34,7 +37,7 @@ func TestReactorFiresInThresholdOrder(t *testing.T) {
 }
 
 func TestReactorSkipsStraightToHighLevel(t *testing.T) {
-	r := NewReactor()
+	r := detector.NewReactor()
 	var log []string
 	r.On(0.5, "warn", func(string, float64, clock.Time) { log = append(log, "warn") })
 	r.On(2.0, "failover", func(string, float64, clock.Time) { log = append(log, "failover") })
@@ -49,7 +52,7 @@ func TestReactorSkipsStraightToHighLevel(t *testing.T) {
 }
 
 func TestReactorRearmsAfterRecovery(t *testing.T) {
-	r := NewReactor()
+	r := detector.NewReactor()
 	count := 0
 	r.On(1.0, "alarm", func(string, float64, clock.Time) { count++ })
 	r.Evaluate("p", 2, 0) // fires
@@ -65,7 +68,7 @@ func TestReactorRearmsAfterRecovery(t *testing.T) {
 }
 
 func TestReactorPerPeerEpisodes(t *testing.T) {
-	r := NewReactor()
+	r := detector.NewReactor()
 	fired := map[string]int{}
 	r.On(1.0, "alarm", func(peer string, _ float64, _ clock.Time) { fired[peer]++ })
 	r.Evaluate("a", 2, 0)
@@ -77,7 +80,7 @@ func TestReactorPerPeerEpisodes(t *testing.T) {
 }
 
 func TestReactorEmptyAndReset(t *testing.T) {
-	r := NewReactor()
+	r := detector.NewReactor()
 	if got := r.Evaluate("p", 99, 0); got != nil {
 		t.Fatalf("empty reactor fired %v", got)
 	}
@@ -99,7 +102,7 @@ func TestReactorWithSFDAccrual(t *testing.T) {
 		last = send.Add(2 * msK)
 		det.Observe(uint64(i), send, last)
 	}
-	r := NewReactor()
+	r := detector.NewReactor()
 	var seq []string
 	r.On(0.5, "precaution", func(string, float64, clock.Time) { seq = append(seq, "precaution") })
 	r.On(1.0, "suspect", func(string, float64, clock.Time) { seq = append(seq, "suspect") })
@@ -117,5 +120,36 @@ func TestReactorWithSFDAccrual(t *testing.T) {
 		if seq[i] != want[i] {
 			t.Fatalf("escalation = %v, want %v", seq, want)
 		}
+	}
+}
+
+// A panicking action used to reach Evaluate's deferred Unlock with the
+// mutex already released: "fatal error: sync: unlock of unlocked mutex",
+// which no recover() can catch. The panic must now reach the caller as
+// itself and leave the reactor usable.
+func TestReactorSurvivesPanickingAction(t *testing.T) {
+	r := detector.NewReactor()
+	r.On(1.0, "boom", func(string, float64, clock.Time) { panic("action failed") })
+	calm := 0
+	r.On(2.0, "calm", func(string, float64, clock.Time) { calm++ })
+
+	func() {
+		defer func() {
+			if got := recover(); got != "action failed" {
+				t.Fatalf("recovered %v, want the action's own panic", got)
+			}
+		}()
+		r.Evaluate("p", 1.5, 0)
+		t.Fatal("Evaluate returned normally from a panicking action")
+	}()
+
+	// The lock is free and the episode advanced past the action that blew up.
+	if fired := r.Evaluate("p", 3, 0); len(fired) != 1 || fired[0] != "calm" || calm != 1 {
+		t.Fatalf("after the panic: fired %v, calm ran %d times", fired, calm)
+	}
+	r.Evaluate("p", 0, 0) // rearm
+	r.On(0.5, "early", func(string, float64, clock.Time) {})
+	if fired := r.Evaluate("q", 0.7, 0); len(fired) != 1 || fired[0] != "early" {
+		t.Fatalf("On/Evaluate after the panic: fired %v", fired)
 	}
 }

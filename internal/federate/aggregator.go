@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/gossip"
 	"repro/internal/heartbeat"
 	"repro/internal/registry"
@@ -250,7 +249,7 @@ type Aggregator struct {
 	// instance issued it), so equal-version continuation chunks are told
 	// apart from split-brain divergence.
 	peers             map[string]*peerState
-	elector           *cluster.Elector
+	elector           *Elector
 	leaderID          string
 	assignVersionFrom string
 	startedAt         clock.Time

@@ -1,19 +1,20 @@
-package cluster
+package federate
 
 import (
 	"sort"
 	"sync"
 
 	"repro/internal/clock"
+	"repro/internal/registry"
 )
 
 // StatusSource is the suspicion oracle an Elector consults: anything
-// that can classify a peer at an instant. *Monitor satisfies it, and so
-// does the registry's StatusOf — the federation tier elects its active
-// aggregator straight off the liveness registry its peers heartbeat
-// into (digest-as-heartbeat, no second detector stack).
+// that can classify a peer at an instant. *registry.Registry satisfies
+// it — the federation tier elects its active aggregator straight off
+// the liveness registry its peers heartbeat into (digest-as-heartbeat,
+// no second detector stack).
 type StatusSource interface {
-	StatusOf(peer string, now clock.Time) (Status, bool)
+	StatusOf(peer string, now clock.Time) (registry.Status, bool)
 }
 
 // Elector implements Ω — eventual leader election — by the classic
@@ -55,7 +56,7 @@ func (e *Elector) Leader(now clock.Time) string {
 			break
 		}
 		st, ok := e.mon.StatusOf(c, now)
-		if ok && st != StatusUnknown && st < StatusSuspected {
+		if ok && st != registry.StatusUnknown && st < registry.StatusSuspected {
 			leader = c
 			break
 		}

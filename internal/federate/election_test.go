@@ -1,18 +1,40 @@
-package cluster
+package federate
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/detector"
 	"repro/internal/heartbeat"
-	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
+const msK = clock.Millisecond
+
+// electorRegistry is the suspicion oracle of these tests: a registry
+// that is never started, so it classifies purely at query time from the
+// arrivals fed to it with explicit instants.
+func electorRegistry() *registry.Registry {
+	chen := func(string) detector.Detector { return detector.NewChen(50, 100*msK, 100*msK) }
+	return registry.New(clock.NewSim(0), chen, registry.Options{MaxSilence: -1, EvictAfter: -1})
+}
+
+// feedRegistry delivers n regular heartbeats from peer.
+func feedRegistry(m *registry.Registry, peer string, n int, iv clock.Duration) clock.Time {
+	var last clock.Time
+	for i := 0; i < n; i++ {
+		send := clock.Time(i) * clock.Time(iv)
+		recv := send.Add(2 * msK)
+		m.Observe(heartbeat.Arrival{From: peer, Seq: uint64(i), Send: send, Recv: recv})
+		last = recv
+	}
+	return last
+}
+
 func TestElectorPicksLowestAliveCandidate(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	last := feedMonitor(m, "a", 60, 100*msK)
-	feedMonitor(m, "b", 75, 100*msK) // b keeps heartbeating past a's silence
+	m := electorRegistry()
+	last := feedRegistry(m, "a", 60, 100*msK)
+	feedRegistry(m, "b", 75, 100*msK) // b keeps heartbeating past a's silence
 	e := NewElector("c", m, []string{"c", "a", "b"})
 	if got := e.Candidates(); got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("ranking = %v", got)
@@ -31,8 +53,8 @@ func TestElectorPicksLowestAliveCandidate(t *testing.T) {
 }
 
 func TestElectorFallsBackToSelf(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	last := feedMonitor(m, "a", 60, 100*msK)
+	m := electorRegistry()
+	last := feedRegistry(m, "a", 60, 100*msK)
 	e := NewElector("z", m, []string{"a", "z"})
 	if l := e.Leader(last.Add(10 * clock.Second)); l != "z" {
 		t.Fatalf("no fallback to self: %q", l)
@@ -40,7 +62,7 @@ func TestElectorFallsBackToSelf(t *testing.T) {
 }
 
 func TestElectorSelfIsNeverSuspected(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := electorRegistry()
 	e := NewElector("a", m, []string{"a", "b"})
 	// No heartbeats at all: "a" leads because it is self.
 	if l := e.Leader(clock.Time(clock.Second)); l != "a" {
@@ -49,9 +71,9 @@ func TestElectorSelfIsNeverSuspected(t *testing.T) {
 }
 
 func TestElectorUnknownPeersSkipped(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	m.Watch("a") // watched but never heard from
-	last := feedMonitor(m, "b", 60, 100*msK)
+	m := electorRegistry()
+	m.Register("a") // watched but never heard from
+	last := feedRegistry(m, "b", 60, 100*msK)
 	e := NewElector("c", m, []string{"a", "b", "c"})
 	if l := e.Leader(last.Add(10 * msK)); l != "b" {
 		t.Fatalf("leader = %q, want b (a never seen)", l)
@@ -59,8 +81,8 @@ func TestElectorUnknownPeersSkipped(t *testing.T) {
 }
 
 func TestElectorOnChangeCallback(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	last := feedMonitor(m, "a", 60, 100*msK)
+	m := electorRegistry()
+	last := feedRegistry(m, "a", 60, 100*msK)
 	e := NewElector("b", m, []string{"a", "b"})
 	var transitions []string
 	e.OnChange(func(old, new string, at clock.Time) {
@@ -73,62 +95,6 @@ func TestElectorOnChangeCallback(t *testing.T) {
 	}
 }
 
-func TestElectionConvergesAcrossSimCluster(t *testing.T) {
-	// Every node heartbeats to every other; each runs its own monitor and
-	// elector. After warm-up all agree on p0; after p0 crashes all
-	// converge to p1 — Ω in action.
-	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK, JitterMean: msK, JitterStd: msK}, 11)
-	const n = 4
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("p%d", i)
-	}
-	monitors := make([]*SimMonitor, n)
-	electors := make([]*Elector, n)
-	for i, name := range names {
-		monitors[i] = sc.AddMonitor(name+"/mon", chenFactory(200*msK), Options{})
-	}
-	for i, name := range names {
-		var targets []string
-		for j := range names {
-			if j != i {
-				targets = append(targets, names[j]+"/mon")
-			}
-		}
-		sc.AddSender(name, 100*msK, 2*msK, targets...)
-		for j := range names {
-			if j != i {
-				monitors[j].Mon.Watch(name)
-			}
-		}
-	}
-	for i, name := range names {
-		electors[i] = NewElector(name, monitors[i].Mon, names)
-	}
-
-	sc.RunFor(15*clock.Second, 10*msK)
-	now := sc.Clk.Now()
-	for i, e := range electors {
-		if l := e.Leader(now); l != "p0" {
-			t.Fatalf("elector %d picked %q before crash, want p0", i, l)
-		}
-	}
-
-	sc.Sender("p0").Crash()
-	sc.RunFor(3*clock.Second, 10*msK)
-	now = sc.Clk.Now()
-	for i, e := range electors {
-		l := e.Leader(now)
-		want := "p1"
-		if i == 0 {
-			continue // the crashed node's own elector is moot
-		}
-		if l != want {
-			t.Fatalf("elector %d picked %q after crash, want %q", i, l, want)
-		}
-	}
-}
-
 // TestElectorOnChangePromotionDemotion drives the promotion/demotion
 // arc the federation HA tier hangs off OnChange: a node promotes when
 // the transition's new leader is itself, demotes when the old one was.
@@ -136,7 +102,7 @@ func TestElectionConvergesAcrossSimCluster(t *testing.T) {
 // lower-ranked peer is unknown, demotes when that peer appears, promotes
 // when it goes silent, and demotes again when it recovers.
 func TestElectorOnChangePromotionDemotion(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := electorRegistry()
 	e := NewElector("b", m, []string{"a", "b"})
 	var promotions, demotions int
 	e.OnChange(func(old, new string, at clock.Time) {
@@ -157,7 +123,7 @@ func TestElectorOnChangePromotionDemotion(t *testing.T) {
 	}
 
 	// "a" (lower rank) starts heartbeating: "b" demotes.
-	last := feedMonitor(m, "a", 60, 100*msK)
+	last := feedRegistry(m, "a", 60, 100*msK)
 	if l := e.Leader(last.Add(10 * msK)); l != "a" {
 		t.Fatalf("leader = %q, want a", l)
 	}
@@ -199,8 +165,8 @@ func TestElectorOnChangePromotionDemotion(t *testing.T) {
 // often Leader is polled, and every registered subscriber sees every
 // transition exactly once.
 func TestElectorOnChangeStability(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	last := feedMonitor(m, "a", 60, 100*msK)
+	m := electorRegistry()
+	last := feedRegistry(m, "a", 60, 100*msK)
 	e := NewElector("b", m, []string{"a", "b"})
 	var first, second int
 	e.OnChange(func(old, new string, at clock.Time) { first++ })

@@ -4,8 +4,8 @@ import (
 	"sort"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/heartbeat"
+	"repro/internal/registry"
 )
 
 // Aggregator high availability: each region runs an active/standby pair.
@@ -13,7 +13,7 @@ import (
 // digest-as-heartbeat trick one tier up: each beat feeds the receiving
 // peer's SFD liveness registry exactly like a leaf digest) and replicate
 // the merged fleet view by periodic anti-entropy mirroring (mirror.go).
-// Leadership is Ω via cluster.Elector over the pair's liveness registry:
+// Leadership is Ω via Elector over the pair's liveness registry:
 // deterministic lowest-id-alive, with the elector's OnChange hook
 // driving promotion and demotion. Two safeguards keep failover and
 // failback clean:
@@ -122,13 +122,13 @@ func (a *Aggregator) Peers() []PeerInfo {
 // skips it until its anti-entropy completes.
 type peerStatusSource struct{ a *Aggregator }
 
-func (s peerStatusSource) StatusOf(peer string, now clock.Time) (cluster.Status, bool) {
+func (s peerStatusSource) StatusOf(peer string, now clock.Time) (registry.Status, bool) {
 	s.a.mu.Lock()
 	ps := s.a.peers[peer]
 	ready := ps != nil && ps.ready
 	s.a.mu.Unlock()
 	if !ready {
-		return cluster.StatusSuspected, ps != nil
+		return registry.StatusSuspected, ps != nil
 	}
 	return s.a.liveness.StatusOf(peer, now)
 }
@@ -143,7 +143,7 @@ func (a *Aggregator) rebuildElectorLocked() {
 	for id := range a.peers {
 		cands = append(cands, id)
 	}
-	el := cluster.NewElector(a.opts.ID, peerStatusSource{a}, cands)
+	el := NewElector(a.opts.ID, peerStatusSource{a}, cands)
 	el.OnChange(func(old, new string, at clock.Time) { a.setLeader(new, at) })
 	a.elector = el
 }

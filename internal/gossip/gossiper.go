@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/registry"
 )
 
@@ -353,9 +352,9 @@ func (g *Gossiper) localOpinion(subj string, now clock.Time) (Opinion, bool) {
 	inc, _ := g.reg.IncarnationOf(subj)
 	op := Opinion{Subject: subj, Inc: inc}
 	switch status {
-	case cluster.StatusOffline:
+	case registry.StatusOffline:
 		op.State = StateOffline
-	case cluster.StatusSuspected:
+	case registry.StatusSuspected:
 		op.State = StateSuspect
 	default:
 		// Unknown (registered, never heard) gossips as trusted: we have

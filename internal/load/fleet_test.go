@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/registry"
@@ -117,7 +116,7 @@ func TestFleetHeartbeatsOverUDP(t *testing.T) {
 	f.Restart(3)
 	waitCond(t, "victim trusted again", 3*time.Second, func() bool {
 		st, ok := reg.StatusOf(name, clk.Now())
-		return ok && st == cluster.StatusActive
+		return ok && st == registry.StatusActive
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
@@ -195,7 +194,7 @@ func TestFleet10kStreamsDeterministic(t *testing.T) {
 	now := sim.Now()
 	for _, peer := range []string{"srv-0150", "srv-5000", "srv-9999"} {
 		st, ok := reg.StatusOf(peer, now)
-		if !ok || st != cluster.StatusActive {
+		if !ok || st != StatusActive {
 			t.Fatalf("%s status = %v (ok=%v), want active", peer, st, ok)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
@@ -98,7 +97,7 @@ func TestWarmRestartNoSpuriousSuspects(t *testing.T) {
 		if inc, ok := r2.IncarnationOf(p); !ok || inc != incs[p] {
 			t.Fatalf("%s incarnation = %d (ok=%v), want %d — regressed across restart", p, inc, ok, incs[p])
 		}
-		if st, ok := r2.StatusOf(p, sim2.Now()); !ok || st != cluster.StatusActive {
+		if st, ok := r2.StatusOf(p, sim2.Now()); !ok || st != StatusActive {
 			t.Fatalf("%s restored as %v, want active", p, st)
 		}
 		if st, ok := r2.Stats(p); !ok || st.Heartbeats != 50 {
@@ -128,7 +127,7 @@ func TestWarmRestartNoSpuriousSuspects(t *testing.T) {
 		t.Fatalf("warm restart produced spurious events: %v", evs)
 	}
 	for _, p := range peers {
-		if st, ok := r2.StatusOf(p, sim2.Now()); !ok || st != cluster.StatusActive {
+		if st, ok := r2.StatusOf(p, sim2.Now()); !ok || st != StatusActive {
 			t.Fatalf("%s = %v after resumed beating, want active", p, st)
 		}
 	}
@@ -226,7 +225,7 @@ func TestWarmRestartResumesSuspicion(t *testing.T) {
 	}
 	r2.Start()
 	defer r2.Stop()
-	if st, ok := r2.StatusOf("flaky", sim2.Now()); !ok || st != cluster.StatusSuspected {
+	if st, ok := r2.StatusOf("flaky", sim2.Now()); !ok || st != StatusSuspected {
 		t.Fatalf("flaky restored as %v, want suspected", st)
 	}
 
@@ -288,10 +287,10 @@ func TestRestartRecoversJournalDeltas(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("restored %d streams, want 2", n)
 	}
-	if st, ok := r2.StatusOf("flaky", sim2.Now()); !ok || st != cluster.StatusSuspected {
+	if st, ok := r2.StatusOf("flaky", sim2.Now()); !ok || st != StatusSuspected {
 		t.Fatalf("flaky = %v, want suspected (journal delta lost?)", st)
 	}
-	if st, ok := r2.StatusOf("steady", sim2.Now()); !ok || st != cluster.StatusActive {
+	if st, ok := r2.StatusOf("steady", sim2.Now()); !ok || st != StatusActive {
 		t.Fatalf("steady = %v, want active", st)
 	}
 }
@@ -319,7 +318,7 @@ func TestRestartColdStartsOnCorruptState(t *testing.T) {
 		beatAt(r, sim, "srv-0", uint64(i), 0)
 		sim.Advance(100 * ms)
 	}
-	if st, ok := r.StatusOf("srv-0", sim.Now()); !ok || st != cluster.StatusActive {
+	if st, ok := r.StatusOf("srv-0", sim.Now()); !ok || st != StatusActive {
 		t.Fatalf("cold-started registry broken: %v", st)
 	}
 	r.Stop() // writes a fresh, valid snapshot past the corrupt epoch

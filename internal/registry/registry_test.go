@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
@@ -104,7 +103,7 @@ func TestRegistryTransitionsUnderSim(t *testing.T) {
 	if _, ok := r.StatusOf("flaky", sim.Now()); ok {
 		t.Fatal("evicted stream still present")
 	}
-	if st, ok := r.StatusOf("steady", sim.Now()); !ok || st != cluster.StatusActive {
+	if st, ok := r.StatusOf("steady", sim.Now()); !ok || st != StatusActive {
 		t.Fatalf("steady status = %v, want active", st)
 	}
 
@@ -168,7 +167,7 @@ func TestRegistryRegisterBeforeHeartbeat(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after double register", r.Len())
 	}
-	if st, ok := r.StatusOf("silent", sim.Now()); !ok || st != cluster.StatusUnknown {
+	if st, ok := r.StatusOf("silent", sim.Now()); !ok || st != StatusUnknown {
 		t.Fatalf("status = %v, want unknown", st)
 	}
 	sim.Advance(clock.Second)

@@ -6,7 +6,7 @@ import (
 
 // StreamPhase is the exported view of a stream's lifecycle position —
 // the coarse event-driven machine the timer wheel advances, without the
-// query-time busy/active refinement cluster.Status adds.
+// query-time busy/active refinement Status adds.
 type StreamPhase uint8
 
 const (

@@ -15,12 +15,12 @@
 //   - Synthetic WAN heartbeat traces calibrated to the paper's Table II
 //     (TracePreset, NewTraceGenerator), plus binary/CSV codecs.
 //   - A live heartbeat stack over UDP or in-memory transports
-//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP) and a
-//     cloud-monitoring layer (NewMonitor, Quorum) implementing the
-//     paper's "one monitors multiple" deployment.
-//   - A fleet-scale monitoring registry (NewRegistry): lock-striped
-//     shards, a hierarchical timer wheel firing suspect transitions,
-//     and a bounded drop-oldest failure-event bus — firehose
+//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP).
+//   - The cloud-monitoring engine (NewRegistry) implementing the
+//     paper's "one monitors multiple" deployment at fleet scale:
+//     lock-striped shards, a hierarchical timer wheel firing suspect
+//     transitions, the active / busy / suspected / offline status
+//     board, and a bounded drop-oldest failure-event bus — firehose
 //     (Subscribe) or interest-routed over hierarchical stream names
 //     with MQTT-style `+`/`#` wildcards (SubscribeTopic, MatchTopic).
 //   - A gossip dissemination layer between monitors (NewGossiper):
@@ -41,8 +41,8 @@ import (
 	"io"
 
 	"repro/internal/chaos"
+	"repro/internal/bench"
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/detector"
@@ -335,68 +335,66 @@ func NewProber(ep Endpoint, to string, clk Clock) *Prober {
 	return heartbeat.NewProber(ep, to, clk)
 }
 
-// Cloud-monitoring layer.
+// Cloud-monitoring layer: the status model and the helpers around the
+// registry (NewRegistry, below), the one monitoring engine.
 type (
-	// Monitor watches many peers, one detector each.
-	Monitor = cluster.Monitor
-	// MonitorOptions tunes status thresholds.
-	MonitorOptions = cluster.Options
 	// MonitorReport is a point-in-time view of one peer.
-	MonitorReport = cluster.Report
+	MonitorReport = registry.Report
 	// PeerStatus classifies a monitored server.
-	PeerStatus = cluster.Status
+	PeerStatus = registry.Status
 	// Quorum aggregates several monitors ("multiple monitor multiple").
-	Quorum = cluster.Quorum
+	Quorum = bench.Quorum
 	// DetectorFactory builds a detector per watched peer.
-	DetectorFactory = cluster.Factory
+	DetectorFactory = registry.Factory
 )
 
 // Peer status values (the paper's active / busy / offline classification).
 const (
-	PeerUnknown   = cluster.StatusUnknown
-	PeerActive    = cluster.StatusActive
-	PeerBusy      = cluster.StatusBusy
-	PeerSuspected = cluster.StatusSuspected
-	PeerOffline   = cluster.StatusOffline
+	PeerUnknown   = registry.StatusUnknown
+	PeerActive    = registry.StatusActive
+	PeerBusy      = registry.StatusBusy
+	PeerSuspected = registry.StatusSuspected
+	PeerOffline   = registry.StatusOffline
 )
-
-// NewMonitor builds a Monitor; a nil factory defaults to SFD instances.
-func NewMonitor(clk Clock, f DetectorFactory, opts MonitorOptions) *Monitor {
-	return cluster.NewMonitor(clk, f, opts)
-}
 
 // SFDFactory returns a DetectorFactory producing SFDs with the given
 // targets and otherwise default configuration.
-func SFDFactory(targets Targets) DetectorFactory { return cluster.DefaultFactory(targets) }
+func SFDFactory(targets Targets) DetectorFactory {
+	return func(string) Detector {
+		cfg := core.DefaultConfig()
+		cfg.Targets = targets
+		return core.New(cfg)
+	}
+}
 
 // Reactor implements the paper's graduated-reaction pattern (§I):
 // applications register actions at ascending suspicion thresholds; each
 // fires once per suspicion episode.
-type Reactor = cluster.Reactor
+type Reactor = detector.Reactor
 
 // ActionFunc reacts to a suspicion threshold crossing.
-type ActionFunc = cluster.ActionFunc
+type ActionFunc = detector.ActionFunc
 
 // NewReactor returns an empty graduated-reaction registry.
-func NewReactor() *Reactor { return cluster.NewReactor() }
+func NewReactor() *Reactor { return detector.NewReactor() }
 
-// FormatSnapshot renders a Monitor snapshot as an aligned status board.
-func FormatSnapshot(reports []MonitorReport) string { return cluster.FormatSnapshot(reports) }
+// FormatSnapshot renders a Registry snapshot as an aligned status board.
+func FormatSnapshot(reports []MonitorReport) string { return registry.FormatSnapshot(reports) }
 
 // SummarizeSnapshot counts a snapshot by status and lists the peers
 // needing attention.
 func SummarizeSnapshot(reports []MonitorReport) (map[PeerStatus]int, []string) {
-	return cluster.Summarize(reports)
+	return registry.Summarize(reports)
 }
 
-// Elector implements Ω (eventual leader election) over a Monitor: the
+// Elector implements Ω (eventual leader election) over a Registry: the
 // leader is the smallest-ranked candidate not currently suspected.
-type Elector = cluster.Elector
+type Elector = federate.Elector
 
 // NewElector builds an elector for the candidate set; self is this
-// process's own name and mon must watch the other candidates.
-func NewElector(self string, mon *Monitor, candidates []string) *Elector {
-	return cluster.NewElector(self, mon, candidates)
+// process's own name and reg must watch the other candidates.
+func NewElector(self string, reg *Registry, candidates []string) *Elector {
+	return federate.NewElector(self, reg, candidates)
 }
 
 // Fleet-scale monitoring: the sharded registry, its timer wheel, and
@@ -444,11 +442,7 @@ const (
 // Start to arm the timer wheel, Observe per heartbeat arrival, and
 // Subscribe to consume transition events.
 func NewRegistry(clk Clock, f DetectorFactory, opts RegistryOptions) *Registry {
-	var rf registry.Factory
-	if f != nil {
-		rf = registry.Factory(f)
-	}
-	return registry.New(clk, rf, opts)
+	return registry.New(clk, f, opts)
 }
 
 // Interest-routed subscriptions: stream names are hierarchical
@@ -732,12 +726,13 @@ func Pump(ep Endpoint, h func(Inbound)) { transport.Pump(ep, h) }
 
 // Simulation layer (deterministic, no sockets).
 type (
-	// SimCluster is a simulated monitoring deployment.
-	SimCluster = cluster.SimCluster
+	// SimCluster is a simulated monitoring deployment: senders and
+	// registry-backed monitors over simulated links and one clock.
+	SimCluster = bench.SimCluster
 	// Consortium is the Fig. 1 multi-cloud scenario.
-	Consortium = cluster.Consortium
+	Consortium = bench.Consortium
 	// ConsortiumConfig parameterizes BuildConsortium.
-	ConsortiumConfig = cluster.ConsortiumConfig
+	ConsortiumConfig = bench.ConsortiumConfig
 	// LinkParams describes a simulated network link.
 	LinkParams = netsim.LinkParams
 )
@@ -745,11 +740,11 @@ type (
 // NewSimCluster creates a simulated deployment with the given default
 // link parameters and seed.
 func NewSimCluster(def LinkParams, seed int64) *SimCluster {
-	return cluster.NewSimCluster(def, seed)
+	return bench.NewSimCluster(def, seed)
 }
 
 // BuildConsortium constructs the education-cloud consortium of Fig. 1.
-func BuildConsortium(cfg ConsortiumConfig) *Consortium { return cluster.BuildConsortium(cfg) }
+func BuildConsortium(cfg ConsortiumConfig) *Consortium { return bench.BuildConsortium(cfg) }
 
 // Consensus layer: Chandra–Toueg consensus driven by these failure
 // detectors (the paper's ◇P_ac ⇒ consensus claim, executable).
