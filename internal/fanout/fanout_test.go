@@ -3,7 +3,10 @@ package fanout
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // matchAll is the test harness's view of a trie: collect every match.
@@ -117,7 +120,8 @@ func TestTrieSharedPrefixPruneKeepsSiblings(t *testing.T) {
 }
 
 func TestValidateName(t *testing.T) {
-	good := []string{"a", "a/b", "region/cluster/host/service", "10.0.0.1:7946", "a-b_c.d"}
+	good := []string{"a", "a/b", "region/cluster/host/service", "10.0.0.1:7946", "a-b_c.d",
+		strings.Repeat("n", wire.MaxNameLen)}
 	for _, n := range good {
 		if err := ValidateName(n); err != nil {
 			t.Errorf("ValidateName(%q) = %v, want nil", n, err)
@@ -136,6 +140,7 @@ func TestValidateName(t *testing.T) {
 		{"a/#", ErrWildcardInName},
 		{"a#b", ErrWildcardInName},
 		{"svc+1", ErrWildcardInName},
+		{strings.Repeat("n", wire.MaxNameLen+1), ErrNameTooLong},
 	}
 	for _, c := range bad {
 		if err := ValidateName(c.name); !errors.Is(err, c.err) {
@@ -163,6 +168,7 @@ func TestValidateFilter(t *testing.T) {
 		{"a/#/b", ErrBadWildcard},
 		{"a+/b", ErrBadWildcard},
 		{"a/b#", ErrBadWildcard},
+		{strings.Repeat("n", wire.MaxNameLen-1) + "/#", ErrNameTooLong},
 	}
 	for _, c := range bad {
 		if err := ValidateFilter(c.filter); !errors.Is(err, c.err) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Validation errors. Callers branch on these with errors.Is; the
@@ -19,15 +21,23 @@ var (
 	// ErrBadWildcard rejects malformed filter wildcards: '+'/'#' mixed
 	// into a longer segment, or '#' before the final segment.
 	ErrBadWildcard = errors.New("malformed wildcard")
+	// ErrNameTooLong rejects names and filters over wire.MaxNameLen
+	// bytes: every codec carries them behind a bounded length prefix, so
+	// the bound is enforced here, where they enter, not at encode time.
+	ErrNameTooLong = errors.New("name too long")
 )
 
 // ValidateName checks a stream name (a publish-side topic): non-empty,
-// no empty segments, no wildcard characters anywhere. The registry
-// enforces this at stream registration so every tracked stream is
-// addressable by filters.
+// at most wire.MaxNameLen bytes, no empty segments, no wildcard
+// characters anywhere. The registry enforces this at stream registration
+// so every tracked stream is addressable by filters and encodable by
+// every codec.
 func ValidateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("%w: %q", ErrEmptyName, name)
+	}
+	if len(name) > wire.MaxNameLen {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrNameTooLong, len(name), wire.MaxNameLen)
 	}
 	rest := name
 	for {
@@ -50,11 +60,15 @@ func ValidateName(name string) error {
 	}
 }
 
-// ValidateFilter checks a subscription filter: non-empty, no empty
+// ValidateFilter checks a subscription filter: non-empty, at most
+// wire.MaxNameLen bytes (cohort filters travel in digests), no empty
 // segments, '+' and '#' only as whole segments, '#' only last.
 func ValidateFilter(filter string) error {
 	if filter == "" {
 		return fmt.Errorf("%w: %q", ErrEmptyName, filter)
+	}
+	if len(filter) > wire.MaxNameLen {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrNameTooLong, len(filter), wire.MaxNameLen)
 	}
 	rest := filter
 	for {

@@ -99,6 +99,7 @@ type AggCounters struct {
 	CohortsMoved    uint64 `json:"cohorts_moved"`
 	AssignsSent     uint64 `json:"assigns_sent"`
 	SendErrors      uint64 `json:"send_errors,omitempty"`
+	AssignOverflow  uint64 `json:"assign_overflow,omitempty"` // table rows left out of a push: a leaf's table outgrew one datagram
 	LeafOfflines    uint64 `json:"leaf_offlines"`
 	LeafRecoveries  uint64 `json:"leaf_recoveries"`
 
@@ -265,6 +266,7 @@ type Aggregator struct {
 	assignsSent     atomic.Uint64
 	sendErrors      atomic.Uint64
 	leafOfflines    atomic.Uint64
+	assignOverflow  atomic.Uint64
 	leafRecoveries  atomic.Uint64
 
 	leaderFlag        atomic.Bool
@@ -780,11 +782,10 @@ func (a *Aggregator) antiEntropyLocked() []push {
 		}
 		entries := byOwner[id]
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Cohort < entries[j].Cohort })
-		if len(entries) > MaxAssignEntries {
-			entries = entries[:MaxAssignEntries]
-		}
 		msg := Assignment{Agg: a.opts.ID, Version: a.assignVersion, Entries: entries}
-		out = append(out, push{to: ls.addr, payload: msg.Marshal(), sent: &a.assignsSent})
+		c, spilled := msg.pack()
+		a.assignOverflow.Add(uint64(spilled))
+		out = append(out, push{to: ls.addr, payload: c.Chunks()[0], sent: &a.assignsSent})
 	}
 	return out
 }
@@ -855,6 +856,7 @@ func (a *Aggregator) Counters() AggCounters {
 		CohortsMoved:    a.cohortsMoved.Load(),
 		AssignsSent:     a.assignsSent.Load(),
 		SendErrors:      a.sendErrors.Load(),
+		AssignOverflow:  a.assignOverflow.Load(),
 		LeafOfflines:    a.leafOfflines.Load(),
 		LeafRecoveries:  a.leafRecoveries.Load(),
 

@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal hardens the federation codec against hostile datagrams:
-// the aggregator's UDP port is open to the world, so no byte sequence
-// may panic the decoder, and anything it accepts must re-encode to the
-// exact input bytes (canonical encoding — the same contract as the
-// heartbeat and gossip codecs). Seeds mirror the heartbeat fuzz corpus:
-// legal messages, truncations, bit flips, version skew, fused datagrams.
-func FuzzUnmarshal(f *testing.F) {
+// FuzzDecode hardens the federation codec against hostile datagrams: the
+// aggregator's UDP port is open to the world, so across the full
+// five-kind surface (digests, assignments, peer beats, mirrors, acks) no
+// byte sequence may panic the decoder, an accepted message decodes into
+// exactly one arm within the wire bounds, and it re-encodes to the exact
+// input bytes (canonical encoding — the same contract as the heartbeat
+// and gossip codecs). Seeds mirror the heartbeat fuzz corpus: legal
+// messages, truncations, bit flips, version skew, fused datagrams.
+func FuzzDecode(f *testing.F) {
 	d := Digest{
 		Leaf: "eu/leaf-1", Region: "eu", Inc: 2, Seq: 41, SentAt: 1 << 40, Weight: 0.875,
 		AssignVersion: 3,
@@ -30,59 +32,6 @@ func FuzzUnmarshal(f *testing.F) {
 		{Cohort: "eu/cluster-4/#", Owner: "eu/leaf-3"},
 	}}
 	ab := a.Marshal()
-
-	f.Add(db)
-	f.Add(ab)
-	f.Add((Digest{Leaf: "l"}).Marshal()) // minimal: heartbeat-only digest
-	f.Add([]byte{})
-	f.Add([]byte("FD"))
-	f.Add(db[:len(db)/2]) // truncate (chaos KindTruncate default)
-	f.Add(db[:len(db)-1]) // one byte short
-	f.Add(ab[:3])         // magic + version, no kind
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	skew := append([]byte(nil), db...)
-	skew[2] = 2 // future version
-	f.Add(skew)
-	flip := append([]byte(nil), db...)
-	flip[10] ^= 0x80 // bit flip in the leaf name length
-	f.Add(flip)
-	f.Add(append(append([]byte(nil), db...), ab...)) // fused datagrams
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		dg, as, err := Unmarshal(b)
-		if err != nil {
-			return // rejected garbage is fine; panicking is not
-		}
-		if (dg == nil) == (as == nil) {
-			t.Fatalf("accepted message decodes as neither/both kinds")
-		}
-		var out []byte
-		if dg != nil {
-			if dg.Leaf == "" {
-				t.Fatal("accepted digest with empty leaf id")
-			}
-			if len(dg.Cohorts) > MaxDigestCohorts {
-				t.Fatalf("accepted digest with %d cohorts", len(dg.Cohorts))
-			}
-			out = dg.Marshal()
-		} else {
-			if len(as.Entries) > MaxAssignEntries {
-				t.Fatalf("accepted assignment with %d entries", len(as.Entries))
-			}
-			out = as.Marshal()
-		}
-		if !bytes.Equal(out, b) {
-			t.Fatalf("accepted message is not canonical:\n in  %x\n out %x", b, out)
-		}
-	})
-}
-
-// FuzzDecode covers the full five-kind federation surface (digests,
-// assignments, peer beats, mirrors, acks) through the unified decoder
-// the HA aggregator actually uses: no input may panic, an accepted
-// message decodes into exactly one arm within the wire bounds, and it
-// re-encodes to the exact input bytes.
-func FuzzDecode(f *testing.F) {
 	pb := PeerBeat{Agg: "agg-a", Region: "eu", Inc: 2, Seq: 17, SentAt: 1 << 40,
 		AssignVersion: 3, Leader: true, Ready: true, Leaves: 6, Cohorts: 24, FleetStreams: 10_000}.Marshal()
 	mi := Mirror{Agg: "agg-a", Inc: 2, Seq: 18, SentAt: 1 << 40, AssignVersion: 3,
@@ -95,18 +44,33 @@ func FuzzDecode(f *testing.F) {
 			Moved: []AssignEntry{{Cohort: "eu/cluster-1/#", Owner: "eu/leaf-1"}}}}}.Marshal()
 	ak := Ack{Agg: "agg-a", Leader: true, AssignVersion: 3, EchoSeq: 41, SentAt: 1 << 40}.Marshal()
 
+	f.Add(db)
+	f.Add(ab)
 	f.Add(pb)
 	f.Add(mi)
 	f.Add(ak)
-	f.Add((Digest{Leaf: "l"}).Marshal())
+	f.Add((Digest{Leaf: "l"}).Marshal()) // minimal: heartbeat-only digest
 	f.Add((Assignment{Agg: "a", Version: 1}).Marshal())
+	f.Add([]byte{})
+	f.Add([]byte("FD"))
+	f.Add(db[:len(db)/2]) // truncate (chaos KindTruncate default)
+	f.Add(db[:len(db)-1]) // one byte short
+	f.Add(ab[:3])         // magic + version, no kind
 	f.Add(pb[:len(pb)-1])
 	f.Add(mi[:len(mi)/2])
-	f.Add(append(append([]byte(nil), ak...), 0)) // trailing byte
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	skew := append([]byte(nil), db...)
+	skew[2] = 2 // future version
+	f.Add(skew)
+	flip := append([]byte(nil), db...)
+	flip[10] ^= 0x80 // bit flip in the leaf name length
+	f.Add(flip)
 	flagFlip := append([]byte(nil), pb...)
-	flagFlip[len(flagFlip)-17] ^= 0xfc // somewhere near the flags byte
+	flagFlip[len(flagFlip)-17] ^= 0xfc // the flags byte: unknown bits set
 	f.Add(flagFlip)
-	f.Add(append(append([]byte(nil), pb...), mi...)) // fused datagrams
+	f.Add(append(append([]byte(nil), ak...), 0))     // trailing byte
+	f.Add(append(append([]byte(nil), db...), ab...)) // fused datagrams
+	f.Add(append(append([]byte(nil), pb...), mi...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := Decode(b)
@@ -117,6 +81,9 @@ func FuzzDecode(f *testing.F) {
 		var out []byte
 		if msg.Digest != nil {
 			arms++
+			if msg.Digest.Leaf == "" {
+				t.Fatal("accepted digest with empty leaf id")
+			}
 			if len(msg.Digest.Cohorts) > MaxDigestCohorts {
 				t.Fatalf("accepted digest with %d cohorts", len(msg.Digest.Cohorts))
 			}

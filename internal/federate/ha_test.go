@@ -10,6 +10,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/registry"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // haSeedDigest builds a one-cohort digest for a fake leaf.
@@ -408,8 +409,8 @@ func TestRedelegationRecordCapped(t *testing.T) {
 	// Every chunk decodes, fits the MTU, and the record survives intact.
 	var gotHist, gotCohorts int
 	for i, c := range chunks {
-		if len(c) > MirrorMTU {
-			t.Fatalf("chunk %d is %d bytes, exceeds MirrorMTU %d", i, len(c), MirrorMTU)
+		if len(c) > wire.MaxDatagram {
+			t.Fatalf("chunk %d is %d bytes, exceeds wire.MaxDatagram %d", i, len(c), wire.MaxDatagram)
 		}
 		msg, err := Decode(c)
 		if err != nil || msg.Mirror == nil {
@@ -429,10 +430,64 @@ func TestRedelegationRecordCapped(t *testing.T) {
 	}
 }
 
+// TestAssignmentPushOverflowCounted: a leaf replaces its table with each
+// push, so a table that outgrows one datagram — by MaxAssignEntries or by
+// bytes — can only be sent in part. The push must still fit a datagram,
+// and the rows left out are counted, not silently dropped.
+func TestAssignmentPushOverflowCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		pad    int // extra bytes per cohort name
+		owned  int
+		pushed int
+	}{
+		{"count cap", 0, MaxAssignEntries + 7, MaxAssignEntries},
+		// A 21-byte header, then 493 bytes an entry (488-byte cohort, "l",
+		// two length prefixes): 121 fit in wire.MaxDatagram.
+		{"byte budget", 480, 200, 121},
+	} {
+		sim := clock.NewSim(0)
+		hub := transport.NewHub(0, 0, 1)
+		ep := hub.Endpoint("agg-a")
+		agg := NewAggregator(ep, sim, AggregatorOptions{ID: "agg-a", Region: "r", DigestInterval: clock.Second})
+
+		agg.mu.Lock()
+		agg.leaves["l"] = &leafState{id: "l", addr: "l", region: "r", weight: 1, live: leafAlive}
+		for i := 0; i < tc.owned; i++ {
+			f := fmt.Sprintf("r/%s%04d/#", strings.Repeat("c", tc.pad), i)
+			agg.cohorts[f] = &cohortMerge{filter: f, owner: "l"}
+		}
+		agg.assignVersion = 1
+		pushes := agg.antiEntropyLocked()
+		agg.mu.Unlock()
+		ep.Close()
+
+		if len(pushes) != 1 || len(pushes[0].payload) > wire.MaxDatagram {
+			t.Fatalf("%s: %d pushes, first %d bytes", tc.name, len(pushes), len(pushes[0].payload))
+		}
+		msg, err := Decode(pushes[0].payload)
+		if err != nil || msg.Assign == nil {
+			t.Fatalf("%s: push does not decode: %v", tc.name, err)
+		}
+		got := len(msg.Assign.Entries)
+		if got != tc.pushed {
+			t.Fatalf("%s: pushed %d of %d entries, want %d", tc.name, got, tc.owned, tc.pushed)
+		}
+		if over := agg.Counters().AssignOverflow; int(over) != tc.owned-got {
+			t.Fatalf("%s: assign_overflow = %d, want %d", tc.name, over, tc.owned-got)
+		}
+		for i, e := range msg.Assign.Entries { // the sorted head of the table
+			if want := fmt.Sprintf("r/%s%04d/#", strings.Repeat("c", tc.pad), i); e.Cohort != want || e.Owner != "l" {
+				t.Fatalf("%s: entry %d = %+v", tc.name, i, e)
+			}
+		}
+	}
+}
+
 // TestMirrorChunksByteBounded is the oversized-datagram regression:
 // chunking by record count alone let long names push a chunk past UDP's
 // payload ceiling, where real sockets drop it silently and netsim never
-// notices. Chunks must respect MirrorMTU, and a single history record
+// notices. Chunks must respect wire.MaxDatagram, and a single history record
 // wider than a whole datagram must be truncated on the wire (head kept,
 // cut counted in MovedOmitted) rather than encoded oversize.
 func TestMirrorChunksByteBounded(t *testing.T) {
@@ -444,14 +499,14 @@ func TestMirrorChunksByteBounded(t *testing.T) {
 		ID: "agg-a", Region: "r", Peers: []string{"agg-b"}, DigestInterval: clock.Second})
 
 	const nLeaves, nMoved = 80, 100
-	wide := strings.Repeat("n", maxNameLen-12)
+	wide := strings.Repeat("n", wire.MaxNameLen-12)
 	rec := RedelegationRecord{Version: 1, At: 1, Dead: "l-dead"}
 	for i := 0; i < nMoved; i++ {
 		rec.Moved = append(rec.Moved, AssignEntry{
 			Cohort: fmt.Sprintf("%s-%04d/#", wide, i), Owner: wide})
 	}
-	if rec.wireSize() <= MirrorMTU {
-		t.Fatalf("setup: record is %d bytes, want > MirrorMTU", rec.wireSize())
+	if min := nMoved * 2 * len(wide); min <= wire.MaxDatagram {
+		t.Fatalf("setup: record is only %d+ bytes, want > wire.MaxDatagram", min)
 	}
 	agg.mu.Lock()
 	for i := 0; i < nLeaves; i++ {
@@ -469,8 +524,8 @@ func TestMirrorChunksByteBounded(t *testing.T) {
 	}
 	gotLeaves, gotHist := 0, 0
 	for i, c := range chunks {
-		if len(c) > MirrorMTU {
-			t.Fatalf("chunk %d is %d bytes, exceeds MirrorMTU %d", i, len(c), MirrorMTU)
+		if len(c) > wire.MaxDatagram {
+			t.Fatalf("chunk %d is %d bytes, exceeds wire.MaxDatagram %d", i, len(c), wire.MaxDatagram)
 		}
 		msg, err := Decode(c)
 		if err != nil || msg.Mirror == nil {

@@ -500,9 +500,9 @@ func (l *Leaf) sweepLocked() map[string]*cohortRow {
 }
 
 // buildDigestsLocked encodes the round's digests, chunked to the wire
-// bound, resetting each cohort's notable ring. Sorted cohort order keeps
-// digests byte-identical across runs for the same state (determinism
-// under clock.Sim).
+// bounds (row count and datagram bytes), resetting each cohort's notable
+// ring. Sorted cohort order keeps digests byte-identical across runs for
+// the same state (determinism under clock.Sim).
 func (l *Leaf) buildDigestsLocked(now clock.Time, rows map[string]*cohortRow) [][]byte {
 	filters := make([]string, 0, len(l.cohorts))
 	for f := range l.cohorts {
@@ -540,29 +540,19 @@ func (l *Leaf) buildDigestsLocked(now clock.Time, rows map[string]*cohortRow) []
 		entries = append(entries, cd)
 	}
 
-	// Always send at least one digest: it is the leaf's heartbeat, and
-	// it echoes AssignVersion so the aggregator's anti-entropy settles.
-	var out [][]byte
-	for first := true; first || len(entries) > 0; first = false {
-		n := len(entries)
-		if n > MaxDigestCohorts {
-			n = MaxDigestCohorts
-		}
-		l.seq++
-		d := Digest{
-			Leaf:          l.opts.ID,
-			Region:        l.opts.Region,
-			Inc:           l.opts.Incarnation,
-			Seq:           l.seq,
-			SentAt:        now,
-			Weight:        weight,
-			AssignVersion: l.assignVersion,
-			Cohorts:       entries[:n],
-		}
-		out = append(out, d.Marshal())
-		entries = entries[n:]
+	// Always at least one digest (Chunks guarantees it): it is the leaf's
+	// heartbeat, and it echoes AssignVersion so the aggregator's
+	// anti-entropy settles.
+	d := Digest{
+		Leaf:          l.opts.ID,
+		Region:        l.opts.Region,
+		Inc:           l.opts.Incarnation,
+		SentAt:        now,
+		Weight:        weight,
+		AssignVersion: l.assignVersion,
+		Cohorts:       entries,
 	}
-	return out
+	return d.pack(func() uint64 { l.seq++; return l.seq }).Chunks()
 }
 
 // HandleDatagramFrom ingests one received federation datagram with its

@@ -60,6 +60,8 @@ func (a *Aggregator) InstrumentMetrics(set *metrics.Set) {
 		"Assignment-table pushes sent to leaves.", a.assignsSent.Load)
 	set.CounterFunc("sfd_fed_send_errors_total",
 		"Outbound federation sends (acks, assignment pushes, peer beats, mirrors) that failed at the endpoint.", a.sendErrors.Load)
+	set.CounterFunc("sfd_fed_assign_overflow_total",
+		"Assignment-table rows left out of a push because a leaf's table outgrew one datagram.", a.assignOverflow.Load)
 	set.CounterFunc("sfd_fed_leaf_offlines_total",
 		"Leaves declared offline by the liveness detector.", a.leafOfflines.Load)
 	set.CounterFunc("sfd_fed_leaf_recoveries_total",

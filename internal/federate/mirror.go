@@ -22,24 +22,22 @@ import (
 // the active's.
 
 // buildMirrorChunksLocked encodes this aggregator's fleet view as mirror
-// datagrams, chunked against both the record-count caps and MirrorMTU's
-// byte budget — counts alone cannot keep a chunk inside one UDP
-// datagram once names grow, and an oversized datagram would be silently
-// dropped by the transport where netsim drills never see it. Records
-// fill chunks greedily (leaves, then history, then cohorts); merging is
-// per-record and order-independent, so the layout is free to vary. At
-// least one chunk always goes out: an empty chunk still carries the
-// assignment version and feeds the receiver's joining gate.
+// datagrams (Mirror.pack chunks them against the record-count caps and
+// the datagram byte budget). At least one chunk always goes out: an
+// empty chunk still carries the assignment version and feeds the
+// receiver's joining gate.
 func (a *Aggregator) buildMirrorChunksLocked(now clock.Time) [][]byte {
+	m := Mirror{Agg: a.opts.ID, Inc: a.opts.Incarnation, SentAt: now, AssignVersion: a.assignVersion}
+
 	leafIDs := make([]string, 0, len(a.leaves))
 	for id := range a.leaves {
 		leafIDs = append(leafIDs, id)
 	}
 	sort.Strings(leafIDs)
-	leaves := make([]MirrorLeaf, 0, len(leafIDs))
+	m.Leaves = make([]MirrorLeaf, 0, len(leafIDs))
 	for _, id := range leafIDs {
 		ls := a.leaves[id]
-		leaves = append(leaves, MirrorLeaf{
+		m.Leaves = append(m.Leaves, MirrorLeaf{
 			ID: ls.id, Addr: ls.addr, Region: ls.region, Weight: ls.weight,
 			Inc: ls.inc, LastSeq: ls.lastSeq, LastAt: ls.lastAt,
 			EchoedAV: ls.echoedAV, Live: uint8(ls.live),
@@ -51,12 +49,12 @@ func (a *Aggregator) buildMirrorChunksLocked(now clock.Time) [][]byte {
 		filters = append(filters, f)
 	}
 	sort.Strings(filters)
-	cohorts := make([]MirrorCohort, 0, len(filters))
+	m.Cohorts = make([]MirrorCohort, 0, len(filters))
 	for _, f := range filters {
 		c := a.cohorts[f]
 		last := c.last
 		last.Notable = nil // notables travel in digests, not mirrors
-		cohorts = append(cohorts, MirrorCohort{
+		m.Cohorts = append(m.Cohorts, MirrorCohort{
 			Filter: c.filter, Owner: c.owner, Orphaned: c.orphaned,
 			EpochLeaf: c.epochLeaf, EpochInc: c.epochInc,
 			CarriedSuspects: c.carriedSuspects, CarriedTrusts: c.carriedTrusts,
@@ -65,63 +63,11 @@ func (a *Aggregator) buildMirrorChunksLocked(now clock.Time) [][]byte {
 		})
 	}
 
-	history := a.history
-	if len(history) > MaxMirrorHistory {
-		history = history[len(history)-MaxMirrorHistory:]
+	m.History = a.history
+	if len(m.History) > MaxMirrorHistory {
+		m.History = m.History[len(m.History)-MaxMirrorHistory:]
 	}
-
-	budget := MirrorMTU - mirrorHeaderSize(a.opts.ID)
-	var out [][]byte
-	cur := Mirror{Agg: a.opts.ID, Inc: a.opts.Incarnation, SentAt: now, AssignVersion: a.assignVersion}
-	curBytes := 0
-	flush := func() {
-		a.peerSeq++
-		cur.Seq = a.peerSeq
-		out = append(out, cur.Marshal())
-		cur = Mirror{Agg: a.opts.ID, Inc: a.opts.Incarnation, SentAt: now, AssignVersion: a.assignVersion}
-		curBytes = 0
-	}
-	for i := range leaves {
-		sz := leaves[i].wireSize()
-		if len(cur.Leaves) >= MaxMirrorLeaves || (curBytes+sz > budget && curBytes > 0) {
-			flush()
-		}
-		cur.Leaves = append(cur.Leaves, leaves[i])
-		curBytes += sz
-	}
-	for _, h := range history {
-		sz := h.wireSize()
-		if sz > budget {
-			// A single record wider than a datagram (a dead leaf owned
-			// very many cohorts with long names): truncate its Moved
-			// list on the wire, keeping the head and accounting for the
-			// cut — the local record and the cohort table stay whole.
-			h.Moved = append([]AssignEntry(nil), h.Moved...)
-			for sz > budget && len(h.Moved) > 0 {
-				e := h.Moved[len(h.Moved)-1]
-				sz -= 4 + len(e.Cohort) + len(e.Owner)
-				h.Moved = h.Moved[:len(h.Moved)-1]
-				h.MovedOmitted++
-			}
-		}
-		if len(cur.History) >= MaxMirrorHistory || (curBytes+sz > budget && curBytes > 0) {
-			flush()
-		}
-		cur.History = append(cur.History, h)
-		curBytes += sz
-	}
-	for i := range cohorts {
-		sz := cohorts[i].wireSize()
-		if len(cur.Cohorts) >= MaxMirrorCohorts || (curBytes+sz > budget && curBytes > 0) {
-			flush()
-		}
-		cur.Cohorts = append(cur.Cohorts, cohorts[i])
-		curBytes += sz
-	}
-	if curBytes > 0 || len(out) == 0 {
-		flush()
-	}
-	return out
+	return m.pack(func() uint64 { a.peerSeq++; return a.peerSeq }).Chunks()
 }
 
 // ingestMirror merges one received mirror chunk. Merging is idempotent

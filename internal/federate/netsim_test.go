@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
 	"repro/internal/registry"
+	"repro/internal/wire"
 )
 
 // The acceptance scenario from the issue: 2 regions × 3 leaves × 10k
@@ -366,4 +368,73 @@ func ownersOf(agg *Aggregator, fs []string) map[string]string {
 		out[f] = agg.OwnerOf(f)
 	}
 	return out
+}
+
+// TestLeafDigestsFitDatagramsWithFullNotableRings is the byte-budget
+// regression for the roll-up: the leaf used to cut digests at
+// MaxDigestCohorts rows by count only, and a row with a full notable
+// ring of 40-byte peers is ~1 KB, so a 256-cohort leaf made one ~270 KB
+// datagram — above UDP's 65 507-byte ceiling, where a real socket fails
+// the send (and netsim now does too). Every datagram must fit
+// wire.MaxDatagram, every send must succeed, and the union of the
+// digests must carry each cohort, ring intact, exactly once.
+func TestLeafDigestsFitDatagramsWithFullNotableRings(t *testing.T) {
+	const ring = 16 // LeafOptions.MaxNotable's default
+	sim := clock.NewSim(0)
+	net := netsim.New(sim, netsim.LinkParams{DelayBase: clock.Millisecond}, 1)
+	reg := registry.New(sim,
+		func(string) detector.Detector { return detector.NewFixed(300*clock.Millisecond, 0) },
+		registry.Options{WheelTick: 10 * clock.Millisecond, MaxSilence: -1, EvictAfter: -1})
+	reg.Start()
+	defer reg.Stop()
+
+	want := make(map[string]int, MaxDigestCohorts)
+	var filters []string
+	for c := 0; c < MaxDigestCohorts; c++ {
+		f := fmt.Sprintf("r/cohort-%03d/#", c)
+		filters = append(filters, f)
+		want[f] = 0
+	}
+	node, aggNode := net.AddNode("r/leaf-0", 16), net.AddNode("agg-0", 4096)
+	leaf, err := NewLeaf(node, sim, reg, "agg-0", LeafOptions{
+		ID: "r/leaf-0", Region: "r", Cohorts: filters, BusBuf: 2 * ring * MaxDigestCohorts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Stop()
+	for c := 0; c < MaxDigestCohorts; c++ {
+		for j := 0; j < ring; j++ { // 40-byte stream names
+			reg.Observe(arrival(fmt.Sprintf("r/cohort-%03d/%s-%02d", c, strings.Repeat("h", 24), j), 1, sim.Now()))
+		}
+	}
+	sim.Advance(clock.Second) // every stream misses its freshness point
+	leaf.Rollup(sim.Now())
+	sim.Advance(clock.Second)
+
+	if c := leaf.Counters(); c.SendErrors != 0 || c.DigestsSent < 2 {
+		t.Fatalf("send errors = %d, digests sent = %d; want 0 and a chunked round", c.SendErrors, c.DigestsSent)
+	}
+	if _, dropped := net.Stats(); dropped != 0 {
+		t.Fatalf("netsim dropped %d datagrams", dropped)
+	}
+	for _, in := range aggNode.Drain() {
+		if len(in.Payload) > wire.MaxDatagram {
+			t.Fatalf("%d-byte digest exceeds wire.MaxDatagram", len(in.Payload))
+		}
+		msg, err := Decode(in.Payload)
+		if err != nil || msg.Digest == nil {
+			t.Fatalf("digest does not decode: %v", err)
+		}
+		for _, row := range msg.Digest.Cohorts {
+			if len(row.Notable) != ring || row.Suspected != ring {
+				t.Fatalf("%s: %d notables, %d suspected; want %d each", row.Filter, len(row.Notable), row.Suspected, ring)
+			}
+			want[row.Filter]++
+		}
+	}
+	for f, n := range want {
+		if n != 1 {
+			t.Fatalf("cohort %s carried %d times, want exactly once", f, n)
+		}
+	}
 }

@@ -19,12 +19,11 @@
 package federate
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // Wire format. Federation messages share the heartbeat/gossip socket
@@ -54,9 +53,10 @@ import (
 // documented in wire_ha.go.
 //
 // All integers big-endian; floats are IEEE-754 bit patterns. Bounded:
-// names ≤ maxNameLen bytes, cohorts ≤ MaxDigestCohorts per datagram
-// (larger cohort sets are chunked by the leaf), notables ≤
-// MaxNotablePerCohort per cohort, assignment entries ≤ MaxAssignEntries.
+// names ≤ wire.MaxNameLen bytes, a datagram ≤ wire.MaxDatagram bytes,
+// cohorts ≤ MaxDigestCohorts per datagram (larger cohort sets are
+// chunked by the leaf), notables ≤ MaxNotablePerCohort per cohort,
+// assignment entries ≤ MaxAssignEntries.
 // Transition counters are CUMULATIVE per (leaf incarnation, cohort
 // ownership epoch), not deltas: a lost or reordered datagram can delay
 // the fleet view but can never lose a transition.
@@ -66,7 +66,6 @@ const (
 	kindDigest uint8 = 1
 	kindAssign uint8 = 2
 
-	maxNameLen = 512
 	// MaxDigestCohorts bounds one datagram's cohort rows; a leaf owning
 	// more chunks its roll-up across several digests (same seq semantics
 	// as gossip chunking).
@@ -175,296 +174,164 @@ type Assignment struct {
 	Entries []AssignEntry
 }
 
-// Marshal encodes the digest. It panics when a name or count exceeds the
-// wire bounds — a programming error, since the leaf chunks before
-// encoding (same contract as the gossip codec).
+// appendHeader appends the four framing bytes every federation datagram
+// opens with.
+func appendHeader(b []byte, kind uint8) []byte {
+	return append(b, wireMagic[0], wireMagic[1], wireVersion, kind)
+}
+
+// pack encodes d as one or more datagrams of at most MaxDigestCohorts
+// rows and wire.MaxDatagram bytes, each stamped with the next value of
+// seq.
+func (d Digest) pack(seq func() uint64) *wire.Chunker {
+	c := wire.NewChunker(func(b []byte) []byte {
+		b = appendHeader(b, kindDigest)
+		b = wire.AppendStr(b, d.Leaf)
+		b = wire.AppendStr(b, d.Region)
+		b = wire.AppendU64(b, d.Inc)
+		b = wire.AppendU64(b, seq())
+		b = wire.AppendU64(b, uint64(d.SentAt))
+		b = wire.AppendF64(b, d.Weight)
+		return wire.AppendU64(b, d.AssignVersion)
+	}, MaxDigestCohorts)
+	for i := range d.Cohorts {
+		row := &d.Cohorts[i]
+		if len(row.Notable) > MaxNotablePerCohort {
+			panic(fmt.Sprintf("federate: %d notables exceeds %d", len(row.Notable), MaxNotablePerCohort))
+		}
+		c.Add(0, func(b []byte) []byte {
+			b = wire.AppendStr(b, row.Filter)
+			b = appendCounters(b, row)
+			b = wire.AppendU16(b, uint16(len(row.Notable)))
+			b = wire.AppendU32(b, row.Omitted)
+			for _, n := range row.Notable {
+				b = append(wire.AppendStr(b, n.Peer), n.Type)
+				b = wire.AppendU64(wire.AppendU64(b, uint64(n.At)), n.Inc)
+			}
+			return b
+		})
+	}
+	return c
+}
+
+// Marshal encodes the digest as one datagram. It panics when a name, a
+// count or the encoded size exceeds the wire bounds — a programming
+// error, since the leaf chunks with pack (same contract as the gossip
+// codec).
 func (d Digest) Marshal() []byte {
-	checkName("leaf id", d.Leaf)
-	checkName("region", d.Region)
-	if len(d.Cohorts) > MaxDigestCohorts {
-		panic(fmt.Sprintf("federate: %d cohorts exceeds %d", len(d.Cohorts), MaxDigestCohorts))
-	}
-	size := 4 + 2 + len(d.Leaf) + 2 + len(d.Region) + 8 + 8 + 8 + 8 + 8 + 2
-	for _, c := range d.Cohorts {
-		checkName("cohort filter", c.Filter)
-		if len(c.Notable) > MaxNotablePerCohort {
-			panic(fmt.Sprintf("federate: %d notables exceeds %d", len(c.Notable), MaxNotablePerCohort))
-		}
-		size += 2 + len(c.Filter) + 4*4 + 4*8 + 3*8 + 4 + 2 + 4
-		for _, n := range c.Notable {
-			checkName("notable peer", n.Peer)
-			size += 2 + len(n.Peer) + 1 + 8 + 8
-		}
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, wireMagic[0], wireMagic[1], wireVersion, kindDigest)
-	buf = appendStr(buf, d.Leaf)
-	buf = appendStr(buf, d.Region)
-	buf = binary.BigEndian.AppendUint64(buf, d.Inc)
-	buf = binary.BigEndian.AppendUint64(buf, d.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(d.SentAt))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.Weight))
-	buf = binary.BigEndian.AppendUint64(buf, d.AssignVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Cohorts)))
-	for _, c := range d.Cohorts {
-		buf = appendStr(buf, c.Filter)
-		buf = binary.BigEndian.AppendUint32(buf, c.Streams)
-		buf = binary.BigEndian.AppendUint32(buf, c.Trusted)
-		buf = binary.BigEndian.AppendUint32(buf, c.Suspected)
-		buf = binary.BigEndian.AppendUint32(buf, c.Offline)
-		buf = binary.BigEndian.AppendUint64(buf, c.Suspects)
-		buf = binary.BigEndian.AppendUint64(buf, c.Trusts)
-		buf = binary.BigEndian.AppendUint64(buf, c.Offlines)
-		buf = binary.BigEndian.AppendUint64(buf, c.Evictions)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.TDSum))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.MRSum))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.QAPMin))
-		buf = binary.BigEndian.AppendUint32(buf, c.Tuned)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Notable)))
-		buf = binary.BigEndian.AppendUint32(buf, c.Omitted)
-		for _, n := range c.Notable {
-			buf = appendStr(buf, n.Peer)
-			buf = append(buf, n.Type)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(n.At))
-			buf = binary.BigEndian.AppendUint64(buf, n.Inc)
-		}
-	}
-	return buf
+	return d.pack(func() uint64 { return d.Seq }).One()
 }
 
-// Marshal encodes the assignment table push.
+// appendCounters appends the state-count, transition-counter and QoS
+// block a cohort row carries in digests and mirrors alike.
+func appendCounters(b []byte, c *CohortDigest) []byte {
+	for _, v := range [...]uint32{c.Streams, c.Trusted, c.Suspected, c.Offline} {
+		b = wire.AppendU32(b, v)
+	}
+	for _, v := range [...]uint64{c.Suspects, c.Trusts, c.Offlines, c.Evictions} {
+		b = wire.AppendU64(b, v)
+	}
+	for _, v := range [...]float64{c.TDSum, c.MRSum, c.QAPMin} {
+		b = wire.AppendF64(b, v)
+	}
+	return wire.AppendU32(b, c.Tuned)
+}
+
+func readCounters(r *wire.Reader, c *CohortDigest) {
+	c.Streams, c.Trusted, c.Suspected, c.Offline = r.U32(), r.U32(), r.U32(), r.U32()
+	c.Suspects, c.Trusts, c.Offlines, c.Evictions = r.U64(), r.U64(), r.U64(), r.U64()
+	c.TDSum, c.MRSum, c.QAPMin, c.Tuned = r.F64(), r.F64(), r.F64(), r.U32()
+}
+
+// pack encodes the table push. A leaf replaces its whole table with each
+// push, so only one datagram can go out: pack stops at the first entry
+// that does not fit (past MaxAssignEntries or the datagram budget) and
+// reports how many entries it left out.
+func (a Assignment) pack() (c *wire.Chunker, spilled int) {
+	c = wire.NewChunker(func(b []byte) []byte {
+		b = wire.AppendStr(appendHeader(b, kindAssign), a.Agg)
+		return wire.AppendU64(b, a.Version)
+	}, MaxAssignEntries)
+	for i, e := range a.Entries {
+		if c.Add(0, e.appendTo); c.Sealed() > 0 {
+			return c, len(a.Entries) - i
+		}
+	}
+	return c, 0
+}
+
+func (e AssignEntry) appendTo(b []byte) []byte {
+	return wire.AppendStr(wire.AppendStr(b, e.Cohort), e.Owner)
+}
+
+// Marshal encodes the assignment table push as one datagram, panicking
+// on over-bound values like Digest.Marshal.
 func (a Assignment) Marshal() []byte {
-	checkName("aggregator id", a.Agg)
-	if len(a.Entries) > MaxAssignEntries {
-		panic(fmt.Sprintf("federate: %d assignment entries exceeds %d", len(a.Entries), MaxAssignEntries))
-	}
-	size := 4 + 2 + len(a.Agg) + 8 + 2
-	for _, e := range a.Entries {
-		checkName("cohort", e.Cohort)
-		checkName("owner", e.Owner)
-		size += 2 + len(e.Cohort) + 2 + len(e.Owner)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, wireMagic[0], wireMagic[1], wireVersion, kindAssign)
-	buf = appendStr(buf, a.Agg)
-	buf = binary.BigEndian.AppendUint64(buf, a.Version)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.Entries)))
-	for _, e := range a.Entries {
-		buf = appendStr(buf, e.Cohort)
-		buf = appendStr(buf, e.Owner)
-	}
-	return buf
+	c, _ := a.pack()
+	return c.One()
 }
 
-// Unmarshal decodes a federation datagram into exactly one of digest or
-// assignment — the two original kinds. The HA kinds added in wire_ha.go
-// (peer beats, mirrors, acks) return ErrBadMessage here; use Decode for
-// the full message set. Any malformed input returns ErrBadMessage; no
-// input may panic — the port is open to the world, the same contract as
-// the heartbeat and gossip codecs (see the fuzz target).
-func Unmarshal(b []byte) (*Digest, *Assignment, error) {
-	r := reader{buf: b}
-	m0, _ := r.u8()
-	m1, _ := r.u8()
-	ver, ok := r.u8()
-	if !ok || m0 != wireMagic[0] || m1 != wireMagic[1] {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadMessage)
-	}
-	if ver != wireVersion {
-		return nil, nil, fmt.Errorf("%w: version %d", ErrBadMessage, ver)
-	}
-	kind, ok := r.u8()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: truncated kind", ErrBadMessage)
-	}
-	switch kind {
-	case kindDigest:
-		d, err := unmarshalDigest(&r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d, nil, nil
-	case kindAssign:
-		a, err := unmarshalAssign(&r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, a, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: kind %d", ErrBadMessage, kind)
-	}
-}
-
-func unmarshalDigest(r *reader) (*Digest, error) {
-	leaf, ok1 := r.str()
-	region, ok2 := r.str()
-	inc, ok3 := r.u64()
-	seq, ok4 := r.u64()
-	sentAt, ok5 := r.u64()
-	wbits, ok6 := r.u64()
-	av, ok7 := r.u64()
-	count, ok8 := r.u16()
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 || !ok7 || !ok8 {
-		return nil, fmt.Errorf("%w: truncated digest header", ErrBadMessage)
-	}
-	if leaf == "" {
-		return nil, fmt.Errorf("%w: empty leaf id", ErrBadMessage)
-	}
-	if int(count) > MaxDigestCohorts {
-		return nil, fmt.Errorf("%w: %d cohorts", ErrBadMessage, count)
-	}
+func decodeDigest(r *wire.Reader) (*Digest, error) {
 	d := &Digest{
-		Leaf: leaf, Region: region, Inc: inc, Seq: seq,
-		SentAt: clock.Time(sentAt), Weight: math.Float64frombits(wbits),
-		AssignVersion: av,
+		Leaf: r.Str(), Region: r.Str(), Inc: r.U64(), Seq: r.U64(),
+		SentAt: clock.Time(r.U64()), Weight: r.F64(), AssignVersion: r.U64(),
+	}
+	count := int(r.U16())
+	if r.Err() == nil && d.Leaf == "" {
+		return nil, errors.New("empty leaf id")
+	}
+	if count > MaxDigestCohorts {
+		return nil, fmt.Errorf("%d cohorts", count)
 	}
 	if count > 0 {
 		d.Cohorts = make([]CohortDigest, 0, count)
 	}
-	for i := 0; i < int(count); i++ {
-		var c CohortDigest
-		var ok bool
-		if c.Filter, ok = r.str(); !ok || c.Filter == "" {
-			return nil, fmt.Errorf("%w: truncated cohort %d", ErrBadMessage, i)
+	for i := 0; i < count && r.Err() == nil; i++ {
+		c := CohortDigest{Filter: r.Str()}
+		readCounters(r, &c)
+		nNotable := int(r.U16())
+		c.Omitted = r.U32()
+		if r.Err() == nil && c.Filter == "" {
+			return nil, fmt.Errorf("cohort %d: empty filter", i)
 		}
-		u32s := [4]*uint32{&c.Streams, &c.Trusted, &c.Suspected, &c.Offline}
-		for _, p := range u32s {
-			if *p, ok = r.u32(); !ok {
-				return nil, fmt.Errorf("%w: truncated cohort %d counts", ErrBadMessage, i)
-			}
+		if nNotable > MaxNotablePerCohort {
+			return nil, fmt.Errorf("cohort %d has %d notables", i, nNotable)
 		}
-		u64s := [4]*uint64{&c.Suspects, &c.Trusts, &c.Offlines, &c.Evictions}
-		for _, p := range u64s {
-			if *p, ok = r.u64(); !ok {
-				return nil, fmt.Errorf("%w: truncated cohort %d transitions", ErrBadMessage, i)
-			}
-		}
-		td, okA := r.u64()
-		mr, okB := r.u64()
-		qap, okC := r.u64()
-		tuned, okD := r.u32()
-		nNotable, okE := r.u16()
-		omitted, okF := r.u32()
-		if !okA || !okB || !okC || !okD || !okE || !okF {
-			return nil, fmt.Errorf("%w: truncated cohort %d qos", ErrBadMessage, i)
-		}
-		c.TDSum = math.Float64frombits(td)
-		c.MRSum = math.Float64frombits(mr)
-		c.QAPMin = math.Float64frombits(qap)
-		c.Tuned = tuned
-		c.Omitted = omitted
-		if int(nNotable) > MaxNotablePerCohort {
-			return nil, fmt.Errorf("%w: cohort %d has %d notables", ErrBadMessage, i, nNotable)
-		}
-		for j := 0; j < int(nNotable); j++ {
-			var n Notable
-			if n.Peer, ok = r.str(); !ok {
-				return nil, fmt.Errorf("%w: truncated notable %d/%d", ErrBadMessage, i, j)
-			}
-			typ, okT := r.u8()
-			at, okAt := r.u64()
-			ninc, okI := r.u64()
-			if !okT || !okAt || !okI {
-				return nil, fmt.Errorf("%w: truncated notable %d/%d", ErrBadMessage, i, j)
-			}
-			n.Type, n.At, n.Inc = typ, clock.Time(at), ninc
-			c.Notable = append(c.Notable, n)
+		for j := 0; j < nNotable; j++ {
+			c.Notable = append(c.Notable, Notable{
+				Peer: r.Str(), Type: r.U8(), At: clock.Time(r.U64()), Inc: r.U64(),
+			})
 		}
 		d.Cohorts = append(d.Cohorts, c)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.off)
-	}
-	return d, nil
+	return d, r.Done()
 }
 
-func unmarshalAssign(r *reader) (*Assignment, error) {
-	agg, ok1 := r.str()
-	version, ok2 := r.u64()
-	count, ok3 := r.u16()
-	if !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("%w: truncated assignment header", ErrBadMessage)
+func decodeAssign(r *wire.Reader) (*Assignment, error) {
+	a := &Assignment{Agg: r.Str(), Version: r.U64()}
+	count := int(r.U16())
+	if count > MaxAssignEntries {
+		return nil, fmt.Errorf("%d assignment entries", count)
 	}
-	if int(count) > MaxAssignEntries {
-		return nil, fmt.Errorf("%w: %d assignment entries", ErrBadMessage, count)
+	var err error
+	if a.Entries, err = readAssignEntries(r, count); err != nil {
+		return nil, err
 	}
-	a := &Assignment{Agg: agg, Version: version}
-	if count > 0 {
-		a.Entries = make([]AssignEntry, 0, count)
+	return a, r.Done()
+}
+
+// readAssignEntries reads n (cohort, owner) pairs, rejecting an empty
+// name; nil when n is 0.
+func readAssignEntries(r *wire.Reader, n int) (dst []AssignEntry, err error) {
+	if n > 0 {
+		dst = make([]AssignEntry, 0, n)
 	}
-	for i := 0; i < int(count); i++ {
-		cohort, okC := r.str()
-		owner, okO := r.str()
-		if !okC || !okO || cohort == "" || owner == "" {
-			return nil, fmt.Errorf("%w: truncated assignment entry %d", ErrBadMessage, i)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := AssignEntry{Cohort: r.Str(), Owner: r.Str()}
+		if r.Err() == nil && (e.Cohort == "" || e.Owner == "") {
+			return nil, fmt.Errorf("assignment entry %d: empty name", i)
 		}
-		a.Entries = append(a.Entries, AssignEntry{Cohort: cohort, Owner: owner})
+		dst = append(dst, e)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.off)
-	}
-	return a, nil
-}
-
-func checkName(what, s string) {
-	if len(s) > maxNameLen {
-		panic(fmt.Sprintf("federate: %s %d bytes exceeds %d", what, len(s), maxNameLen))
-	}
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-// reader is a bounds-checked cursor over a datagram.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) u8() (byte, bool) {
-	if r.off+1 > len(r.buf) {
-		return 0, false
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, true
-}
-
-func (r *reader) u16() (uint16, bool) {
-	if r.off+2 > len(r.buf) {
-		return 0, false
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, true
-}
-
-func (r *reader) u32() (uint32, bool) {
-	if r.off+4 > len(r.buf) {
-		return 0, false
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, true
-}
-
-func (r *reader) u64() (uint64, bool) {
-	if r.off+8 > len(r.buf) {
-		return 0, false
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, true
-}
-
-func (r *reader) str() (string, bool) {
-	n, ok := r.u16()
-	if !ok || int(n) > maxNameLen || r.off+int(n) > len(r.buf) {
-		return "", false
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, true
+	return dst, nil
 }

@@ -1,11 +1,11 @@
 package federate
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // HA wire records. Three kinds join the original digest/assignment pair
@@ -22,10 +22,10 @@ import (
 // kindMirror (aggregator → aggregator) body — one anti-entropy chunk of
 // the merged fleet view (leaf records, per-cohort epoch counters, the
 // versioned assignment table implied by cohort owners, re-delegation
-// history). Chunked by encoded size against MirrorMTU as well as by
-// record count — with names up to maxNameLen, counts alone cannot keep
-// a chunk inside one UDP datagram. Records may land in any chunk;
-// merging is per-record and order-independent:
+// history). Chunked by encoded size against wire.MaxDatagram as well as
+// by record count — with names up to wire.MaxNameLen, counts alone
+// cannot keep a chunk inside one UDP datagram. Records may land in any
+// chunk; merging is per-record and order-independent:
 //
 //	aggLen(u16) agg  inc(u64) seq(u64) sentAt(u64) assignVersion(u64)
 //	leafCount(u16) cohortCount(u16) histCount(u16)
@@ -62,12 +62,6 @@ const (
 	MaxMirrorCohorts = 128
 	// MaxMirrorHistory bounds one mirror chunk's re-delegation records.
 	MaxMirrorHistory = 16
-	// MirrorMTU bounds one mirror chunk's encoded bytes: safely under
-	// UDP's 65 507-byte payload ceiling and the transport's 64 KiB
-	// receive buffer. The record-count caps above do not bound the
-	// encoding on their own (names run up to maxNameLen), so the
-	// chunker tracks encoded size against this too.
-	MirrorMTU = 60000
 )
 
 const (
@@ -158,31 +152,6 @@ type Mirror struct {
 	History       []RedelegationRecord
 }
 
-// Encoded sizes, kept in lockstep with Mirror.Marshal so the chunker
-// can budget bytes against MirrorMTU without trial-encoding.
-
-// mirrorHeaderSize is a chunk's fixed overhead before any record.
-func mirrorHeaderSize(agg string) int {
-	return 4 + 2 + len(agg) + 4*8 + 3*2
-}
-
-func (l *MirrorLeaf) wireSize() int {
-	return 2 + len(l.ID) + 2 + len(l.Addr) + 2 + len(l.Region) + 5*8 + 1
-}
-
-func (c *MirrorCohort) wireSize() int {
-	return 2 + len(c.Filter) + 2 + len(c.Owner) + 1 + 2 + len(c.EpochLeaf) +
-		8 + 4*8 + 4*4 + 4*8 + 3*8 + 4 + 4 + 8
-}
-
-func (h *RedelegationRecord) wireSize() int {
-	s := 8 + 8 + 2 + len(h.Dead) + 2 + 4
-	for _, e := range h.Moved {
-		s += 2 + len(e.Cohort) + 2 + len(e.Owner)
-	}
-	return s
-}
-
 // Ack is an aggregator's per-digest receipt to a leaf: proof of
 // reachability (the leaf's unreachable accounting keys off ack
 // silence), plus the sender's leadership claim and table version.
@@ -205,384 +174,268 @@ type Message struct {
 	Ack      *Ack
 }
 
-// Decode decodes any federation datagram. Same contract as Unmarshal:
-// malformed input returns ErrBadMessage, no input may panic, and
-// accepted messages re-encode to the exact input bytes.
+// Decode decodes any federation datagram. Malformed input returns
+// ErrBadMessage and no input may panic — the port is open to the world,
+// the same contract as the heartbeat and gossip codecs (see the fuzz
+// target) — and accepted messages re-encode to the exact input bytes.
 func Decode(b []byte) (Message, error) {
-	r := reader{buf: b}
-	m0, _ := r.u8()
-	m1, _ := r.u8()
-	ver, ok := r.u8()
-	if !ok || m0 != wireMagic[0] || m1 != wireMagic[1] {
-		return Message{}, fmt.Errorf("%w: bad magic", ErrBadMessage)
+	msg, err := decode(b)
+	if err != nil {
+		return Message{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
+	}
+	return msg, nil
+}
+
+func decode(b []byte) (msg Message, err error) {
+	if len(b) > wire.MaxDatagram {
+		return msg, fmt.Errorf("%d bytes exceeds a datagram", len(b))
+	}
+	r := wire.NewReader(b)
+	if m0, m1 := r.U8(), r.U8(); m0 != wireMagic[0] || m1 != wireMagic[1] {
+		return msg, errors.New("bad magic")
+	}
+	ver, kind := r.U8(), r.U8()
+	if r.Err() != nil {
+		return msg, r.Err()
 	}
 	if ver != wireVersion {
-		return Message{}, fmt.Errorf("%w: version %d", ErrBadMessage, ver)
-	}
-	kind, ok := r.u8()
-	if !ok {
-		return Message{}, fmt.Errorf("%w: truncated kind", ErrBadMessage)
+		return msg, fmt.Errorf("version %d", ver)
 	}
 	switch kind {
 	case kindDigest:
-		d, err := unmarshalDigest(&r)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Digest: d}, nil
+		msg.Digest, err = decodeDigest(r)
 	case kindAssign:
-		a, err := unmarshalAssign(&r)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Assign: a}, nil
+		msg.Assign, err = decodeAssign(r)
 	case kindPeerBeat:
-		p, err := unmarshalPeerBeat(&r)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{PeerBeat: p}, nil
+		msg.PeerBeat, err = decodePeerBeat(r)
 	case kindMirror:
-		m, err := unmarshalMirror(&r)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Mirror: m}, nil
+		msg.Mirror, err = decodeMirror(r)
 	case kindAck:
-		k, err := unmarshalAck(&r)
-		if err != nil {
-			return Message{}, err
-		}
-		return Message{Ack: k}, nil
+		msg.Ack, err = decodeAck(r)
 	default:
-		return Message{}, fmt.Errorf("%w: kind %d", ErrBadMessage, kind)
+		err = fmt.Errorf("kind %d", kind)
 	}
+	return msg, err
 }
 
 // Marshal encodes the peer beat.
 func (p PeerBeat) Marshal() []byte {
-	checkName("aggregator id", p.Agg)
-	checkName("region", p.Region)
-	buf := make([]byte, 0, 4+2+len(p.Agg)+2+len(p.Region)+8+8+8+8+1+4+4+8)
-	buf = append(buf, wireMagic[0], wireMagic[1], wireVersion, kindPeerBeat)
-	buf = appendStr(buf, p.Agg)
-	buf = appendStr(buf, p.Region)
-	buf = binary.BigEndian.AppendUint64(buf, p.Inc)
-	buf = binary.BigEndian.AppendUint64(buf, p.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.SentAt))
-	buf = binary.BigEndian.AppendUint64(buf, p.AssignVersion)
-	var flags uint8
-	if p.Leader {
-		flags |= beatFlagLeader
-	}
-	if p.Ready {
-		flags |= beatFlagReady
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint32(buf, p.Leaves)
-	buf = binary.BigEndian.AppendUint32(buf, p.Cohorts)
-	buf = binary.BigEndian.AppendUint64(buf, p.FleetStreams)
-	return buf
+	b := appendHeader(make([]byte, 0, 64+len(p.Agg)+len(p.Region)), kindPeerBeat)
+	b = wire.AppendStr(b, p.Agg)
+	b = wire.AppendStr(b, p.Region)
+	b = wire.AppendU64(b, p.Inc)
+	b = wire.AppendU64(b, p.Seq)
+	b = wire.AppendU64(b, uint64(p.SentAt))
+	b = wire.AppendU64(b, p.AssignVersion)
+	b = append(b, flagIf(p.Leader, beatFlagLeader)|flagIf(p.Ready, beatFlagReady))
+	b = wire.AppendU32(b, p.Leaves)
+	b = wire.AppendU32(b, p.Cohorts)
+	return wire.AppendU64(b, p.FleetStreams)
 }
 
-func unmarshalPeerBeat(r *reader) (*PeerBeat, error) {
-	agg, ok1 := r.str()
-	region, ok2 := r.str()
-	inc, ok3 := r.u64()
-	seq, ok4 := r.u64()
-	sentAt, ok5 := r.u64()
-	av, ok6 := r.u64()
-	flags, ok7 := r.u8()
-	leaves, ok8 := r.u32()
-	cohorts, ok9 := r.u32()
-	streams, ok10 := r.u64()
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 || !ok7 || !ok8 || !ok9 || !ok10 {
-		return nil, fmt.Errorf("%w: truncated peer beat", ErrBadMessage)
+// flagIf returns bit when set, for assembling a flags byte.
+func flagIf(set bool, bit uint8) uint8 {
+	if set {
+		return bit
 	}
-	if agg == "" {
-		return nil, fmt.Errorf("%w: empty aggregator id", ErrBadMessage)
+	return 0
+}
+
+func decodePeerBeat(r *wire.Reader) (*PeerBeat, error) {
+	p := &PeerBeat{
+		Agg: r.Str(), Region: r.Str(), Inc: r.U64(), Seq: r.U64(),
+		SentAt: clock.Time(r.U64()), AssignVersion: r.U64(),
+	}
+	flags := r.U8()
+	p.Leader, p.Ready = flags&beatFlagLeader != 0, flags&beatFlagReady != 0
+	p.Leaves, p.Cohorts, p.FleetStreams = r.U32(), r.U32(), r.U64()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if p.Agg == "" {
+		return nil, errors.New("empty aggregator id")
 	}
 	if flags&^(beatFlagLeader|beatFlagReady) != 0 {
-		return nil, fmt.Errorf("%w: peer beat flags %#x", ErrBadMessage, flags)
+		return nil, fmt.Errorf("peer beat flags %#x", flags)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.off)
+	return p, nil
+}
+
+// pack encodes m as one or more mirror chunks within the record-count
+// caps and wire.MaxDatagram, each stamped with the next value of seq.
+// Records fill chunks greedily in wire order (leaves, cohorts, history);
+// merging is per-record and order-independent, so where a record lands
+// does not matter. A history record wider than a datagram on its own (a
+// dead leaf owned very many cohorts with long names) ships the head of
+// its Moved list and counts the cut in MovedOmitted — the sender's own
+// record and the cohort table stay whole.
+func (m Mirror) pack(seq func() uint64) *wire.Chunker {
+	c := wire.NewChunker(func(b []byte) []byte {
+		b = wire.AppendStr(appendHeader(b, kindMirror), m.Agg)
+		b = wire.AppendU64(b, m.Inc)
+		b = wire.AppendU64(b, seq())
+		b = wire.AppendU64(b, uint64(m.SentAt))
+		return wire.AppendU64(b, m.AssignVersion)
+	}, MaxMirrorLeaves, MaxMirrorCohorts, MaxMirrorHistory)
+	for i := range m.Leaves {
+		l := &m.Leaves[i]
+		c.Add(0, func(b []byte) []byte {
+			b = wire.AppendStr(b, l.ID)
+			b = wire.AppendStr(b, l.Addr)
+			b = wire.AppendStr(b, l.Region)
+			b = wire.AppendF64(b, l.Weight)
+			b = wire.AppendU64(b, l.Inc)
+			b = wire.AppendU64(b, l.LastSeq)
+			b = wire.AppendU64(b, uint64(l.LastAt))
+			b = wire.AppendU64(b, l.EchoedAV)
+			return append(b, l.Live)
+		})
 	}
-	return &PeerBeat{
-		Agg: agg, Region: region, Inc: inc, Seq: seq,
-		SentAt: clock.Time(sentAt), AssignVersion: av,
-		Leader: flags&beatFlagLeader != 0, Ready: flags&beatFlagReady != 0,
-		Leaves: leaves, Cohorts: cohorts, FleetStreams: streams,
-	}, nil
+	for i := range m.Cohorts {
+		mc := &m.Cohorts[i]
+		c.Add(1, func(b []byte) []byte {
+			b = wire.AppendStr(b, mc.Filter)
+			b = wire.AppendStr(b, mc.Owner)
+			b = append(b, flagIf(mc.Orphaned, cohortFlagOrphaned))
+			b = wire.AppendStr(b, mc.EpochLeaf)
+			b = wire.AppendU64(b, mc.EpochInc)
+			b = wire.AppendU64(b, mc.CarriedSuspects)
+			b = wire.AppendU64(b, mc.CarriedTrusts)
+			b = wire.AppendU64(b, mc.CarriedOfflines)
+			b = wire.AppendU64(b, mc.CarriedEvictions)
+			b = appendCounters(b, &mc.Last)
+			b = wire.AppendU32(b, mc.Last.Omitted)
+			return wire.AppendU64(b, uint64(mc.UpdatedAt))
+		})
+	}
+	for i := range m.History {
+		h := &m.History[i]
+		c.Add(2, func(b []byte) []byte {
+			start := len(b)
+			b = wire.AppendU64(b, h.Version)
+			b = wire.AppendU64(b, uint64(h.At))
+			b = wire.AppendStr(b, h.Dead)
+			// What the Moved entries may occupy, after the fixed fields
+			// and movedCount(u16) movedOmitted(u32).
+			room := c.Room() - (len(b) - start) - 6
+			var moved []byte
+			n := 0
+			for ; n < len(h.Moved) && n < MaxAssignEntries; n++ {
+				next := h.Moved[n].appendTo(moved)
+				if len(next) > room {
+					break
+				}
+				moved = next
+			}
+			b = wire.AppendU16(b, uint16(n))
+			b = wire.AppendU32(b, h.MovedOmitted+uint32(len(h.Moved)-n))
+			return append(b, moved...)
+		})
+	}
+	return c
 }
 
 // Marshal encodes one mirror chunk. Panics on bound violations — the
-// aggregator chunks before encoding, same contract as Digest.Marshal.
+// aggregator chunks with pack, same contract as Digest.Marshal.
 func (m Mirror) Marshal() []byte {
-	checkName("aggregator id", m.Agg)
-	if len(m.Leaves) > MaxMirrorLeaves {
-		panic(fmt.Sprintf("federate: %d mirror leaves exceeds %d", len(m.Leaves), MaxMirrorLeaves))
-	}
-	if len(m.Cohorts) > MaxMirrorCohorts {
-		panic(fmt.Sprintf("federate: %d mirror cohorts exceeds %d", len(m.Cohorts), MaxMirrorCohorts))
-	}
-	if len(m.History) > MaxMirrorHistory {
-		panic(fmt.Sprintf("federate: %d mirror history records exceeds %d", len(m.History), MaxMirrorHistory))
-	}
-	buf := make([]byte, 0, 512+192*len(m.Leaves)+256*len(m.Cohorts))
-	buf = append(buf, wireMagic[0], wireMagic[1], wireVersion, kindMirror)
-	buf = appendStr(buf, m.Agg)
-	buf = binary.BigEndian.AppendUint64(buf, m.Inc)
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.SentAt))
-	buf = binary.BigEndian.AppendUint64(buf, m.AssignVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Leaves)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Cohorts)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.History)))
-	for _, l := range m.Leaves {
-		checkName("mirror leaf id", l.ID)
-		checkName("mirror leaf addr", l.Addr)
-		checkName("mirror leaf region", l.Region)
-		buf = appendStr(buf, l.ID)
-		buf = appendStr(buf, l.Addr)
-		buf = appendStr(buf, l.Region)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(l.Weight))
-		buf = binary.BigEndian.AppendUint64(buf, l.Inc)
-		buf = binary.BigEndian.AppendUint64(buf, l.LastSeq)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(l.LastAt))
-		buf = binary.BigEndian.AppendUint64(buf, l.EchoedAV)
-		buf = append(buf, l.Live)
-	}
-	for _, c := range m.Cohorts {
-		checkName("mirror cohort filter", c.Filter)
-		checkName("mirror cohort owner", c.Owner)
-		checkName("mirror epoch leaf", c.EpochLeaf)
-		buf = appendStr(buf, c.Filter)
-		buf = appendStr(buf, c.Owner)
-		var flags uint8
-		if c.Orphaned {
-			flags |= cohortFlagOrphaned
-		}
-		buf = append(buf, flags)
-		buf = appendStr(buf, c.EpochLeaf)
-		buf = binary.BigEndian.AppendUint64(buf, c.EpochInc)
-		buf = binary.BigEndian.AppendUint64(buf, c.CarriedSuspects)
-		buf = binary.BigEndian.AppendUint64(buf, c.CarriedTrusts)
-		buf = binary.BigEndian.AppendUint64(buf, c.CarriedOfflines)
-		buf = binary.BigEndian.AppendUint64(buf, c.CarriedEvictions)
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Streams)
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Trusted)
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Suspected)
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Offline)
-		buf = binary.BigEndian.AppendUint64(buf, c.Last.Suspects)
-		buf = binary.BigEndian.AppendUint64(buf, c.Last.Trusts)
-		buf = binary.BigEndian.AppendUint64(buf, c.Last.Offlines)
-		buf = binary.BigEndian.AppendUint64(buf, c.Last.Evictions)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.Last.TDSum))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.Last.MRSum))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.Last.QAPMin))
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Tuned)
-		buf = binary.BigEndian.AppendUint32(buf, c.Last.Omitted)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(c.UpdatedAt))
-	}
-	for _, h := range m.History {
-		checkName("mirror history dead leaf", h.Dead)
-		if len(h.Moved) > MaxAssignEntries {
-			panic(fmt.Sprintf("federate: %d moved entries exceeds %d", len(h.Moved), MaxAssignEntries))
-		}
-		buf = binary.BigEndian.AppendUint64(buf, h.Version)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(h.At))
-		buf = appendStr(buf, h.Dead)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.Moved)))
-		buf = binary.BigEndian.AppendUint32(buf, h.MovedOmitted)
-		for _, e := range h.Moved {
-			checkName("mirror moved cohort", e.Cohort)
-			checkName("mirror moved owner", e.Owner)
-			buf = appendStr(buf, e.Cohort)
-			buf = appendStr(buf, e.Owner)
-		}
-	}
-	if len(buf) > MirrorMTU {
-		panic(fmt.Sprintf("federate: %d-byte mirror chunk exceeds %d", len(buf), MirrorMTU))
-	}
-	return buf
+	return m.pack(func() uint64 { return m.Seq }).One()
 }
 
-func unmarshalMirror(r *reader) (*Mirror, error) {
-	if len(r.buf) > MirrorMTU {
-		return nil, fmt.Errorf("%w: %d-byte mirror exceeds %d", ErrBadMessage, len(r.buf), MirrorMTU)
+func decodeMirror(r *wire.Reader) (*Mirror, error) {
+	m := &Mirror{
+		Agg: r.Str(), Inc: r.U64(), Seq: r.U64(),
+		SentAt: clock.Time(r.U64()), AssignVersion: r.U64(),
 	}
-	agg, ok1 := r.str()
-	inc, ok2 := r.u64()
-	seq, ok3 := r.u64()
-	sentAt, ok4 := r.u64()
-	av, ok5 := r.u64()
-	nLeaves, ok6 := r.u16()
-	nCohorts, ok7 := r.u16()
-	nHist, ok8 := r.u16()
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 || !ok7 || !ok8 {
-		return nil, fmt.Errorf("%w: truncated mirror header", ErrBadMessage)
+	nLeaves, nCohorts, nHist := int(r.U16()), int(r.U16()), int(r.U16())
+	if r.Err() == nil && m.Agg == "" {
+		return nil, errors.New("empty aggregator id")
 	}
-	if agg == "" {
-		return nil, fmt.Errorf("%w: empty aggregator id", ErrBadMessage)
+	if nLeaves > MaxMirrorLeaves || nCohorts > MaxMirrorCohorts || nHist > MaxMirrorHistory {
+		return nil, fmt.Errorf("mirror counts %d/%d/%d", nLeaves, nCohorts, nHist)
 	}
-	if int(nLeaves) > MaxMirrorLeaves || int(nCohorts) > MaxMirrorCohorts || int(nHist) > MaxMirrorHistory {
-		return nil, fmt.Errorf("%w: mirror counts %d/%d/%d", ErrBadMessage, nLeaves, nCohorts, nHist)
-	}
-	m := &Mirror{Agg: agg, Inc: inc, Seq: seq, SentAt: clock.Time(sentAt), AssignVersion: av}
 	if nLeaves > 0 {
 		m.Leaves = make([]MirrorLeaf, 0, nLeaves)
 	}
-	for i := 0; i < int(nLeaves); i++ {
-		var l MirrorLeaf
-		var okID, okAddr, okRegion bool
-		l.ID, okID = r.str()
-		l.Addr, okAddr = r.str()
-		l.Region, okRegion = r.str()
-		wbits, okW := r.u64()
-		linc, okI := r.u64()
-		lseq, okS := r.u64()
-		lat, okA := r.u64()
-		eav, okE := r.u64()
-		live, okL := r.u8()
-		if !okID || !okAddr || !okRegion || !okW || !okI || !okS || !okA || !okE || !okL || l.ID == "" {
-			return nil, fmt.Errorf("%w: truncated mirror leaf %d", ErrBadMessage, i)
+	for i := 0; i < nLeaves && r.Err() == nil; i++ {
+		l := MirrorLeaf{
+			ID: r.Str(), Addr: r.Str(), Region: r.Str(), Weight: r.F64(),
+			Inc: r.U64(), LastSeq: r.U64(), LastAt: clock.Time(r.U64()),
+			EchoedAV: r.U64(), Live: r.U8(),
 		}
-		if live > uint8(leafDead) {
-			return nil, fmt.Errorf("%w: mirror leaf %d liveness %d", ErrBadMessage, i, live)
+		if r.Err() == nil && l.ID == "" {
+			return nil, fmt.Errorf("mirror leaf %d: empty id", i)
 		}
-		l.Weight = math.Float64frombits(wbits)
-		l.Inc, l.LastSeq, l.LastAt, l.EchoedAV, l.Live = linc, lseq, clock.Time(lat), eav, live
+		if l.Live > uint8(leafDead) {
+			return nil, fmt.Errorf("mirror leaf %d liveness %d", i, l.Live)
+		}
 		m.Leaves = append(m.Leaves, l)
 	}
 	if nCohorts > 0 {
 		m.Cohorts = make([]MirrorCohort, 0, nCohorts)
 	}
-	for i := 0; i < int(nCohorts); i++ {
-		var c MirrorCohort
-		var okF, okO, okE bool
-		c.Filter, okF = r.str()
-		c.Owner, okO = r.str()
-		flags, okFl := r.u8()
-		c.EpochLeaf, okE = r.str()
-		epochInc, okEI := r.u64()
-		if !okF || !okO || !okFl || !okE || !okEI || c.Filter == "" {
-			return nil, fmt.Errorf("%w: truncated mirror cohort %d", ErrBadMessage, i)
+	for i := 0; i < nCohorts && r.Err() == nil; i++ {
+		c := MirrorCohort{Filter: r.Str(), Owner: r.Str()}
+		flags := r.U8()
+		c.Orphaned = flags&cohortFlagOrphaned != 0
+		c.EpochLeaf, c.EpochInc = r.Str(), r.U64()
+		c.CarriedSuspects, c.CarriedTrusts = r.U64(), r.U64()
+		c.CarriedOfflines, c.CarriedEvictions = r.U64(), r.U64()
+		c.Last.Filter = c.Filter
+		readCounters(r, &c.Last)
+		c.Last.Omitted, c.UpdatedAt = r.U32(), clock.Time(r.U64())
+		if r.Err() == nil && c.Filter == "" {
+			return nil, fmt.Errorf("mirror cohort %d: empty filter", i)
 		}
 		if flags&^cohortFlagOrphaned != 0 {
-			return nil, fmt.Errorf("%w: mirror cohort %d flags %#x", ErrBadMessage, i, flags)
+			return nil, fmt.Errorf("mirror cohort %d flags %#x", i, flags)
 		}
-		c.Orphaned = flags&cohortFlagOrphaned != 0
-		c.EpochInc = epochInc
-		carried := [4]*uint64{&c.CarriedSuspects, &c.CarriedTrusts, &c.CarriedOfflines, &c.CarriedEvictions}
-		for _, p := range carried {
-			var ok bool
-			if *p, ok = r.u64(); !ok {
-				return nil, fmt.Errorf("%w: truncated mirror cohort %d carried", ErrBadMessage, i)
-			}
-		}
-		c.Last.Filter = c.Filter
-		u32s := [4]*uint32{&c.Last.Streams, &c.Last.Trusted, &c.Last.Suspected, &c.Last.Offline}
-		for _, p := range u32s {
-			var ok bool
-			if *p, ok = r.u32(); !ok {
-				return nil, fmt.Errorf("%w: truncated mirror cohort %d counts", ErrBadMessage, i)
-			}
-		}
-		u64s := [4]*uint64{&c.Last.Suspects, &c.Last.Trusts, &c.Last.Offlines, &c.Last.Evictions}
-		for _, p := range u64s {
-			var ok bool
-			if *p, ok = r.u64(); !ok {
-				return nil, fmt.Errorf("%w: truncated mirror cohort %d transitions", ErrBadMessage, i)
-			}
-		}
-		td, okA := r.u64()
-		mr, okB := r.u64()
-		qap, okC := r.u64()
-		tuned, okD := r.u32()
-		omitted, okOm := r.u32()
-		updated, okU := r.u64()
-		if !okA || !okB || !okC || !okD || !okOm || !okU {
-			return nil, fmt.Errorf("%w: truncated mirror cohort %d qos", ErrBadMessage, i)
-		}
-		c.Last.TDSum = math.Float64frombits(td)
-		c.Last.MRSum = math.Float64frombits(mr)
-		c.Last.QAPMin = math.Float64frombits(qap)
-		c.Last.Tuned = tuned
-		c.Last.Omitted = omitted
-		c.UpdatedAt = clock.Time(updated)
 		m.Cohorts = append(m.Cohorts, c)
 	}
 	if nHist > 0 {
 		m.History = make([]RedelegationRecord, 0, nHist)
 	}
-	for i := 0; i < int(nHist); i++ {
-		var h RedelegationRecord
-		version, okV := r.u64()
-		at, okAt := r.u64()
-		dead, okD := r.str()
-		nMoved, okM := r.u16()
-		movedOmitted, okMO := r.u32()
-		if !okV || !okAt || !okD || !okM || !okMO || dead == "" {
-			return nil, fmt.Errorf("%w: truncated mirror history %d", ErrBadMessage, i)
+	for i := 0; i < nHist && r.Err() == nil; i++ {
+		h := RedelegationRecord{Version: r.U64(), At: clock.Time(r.U64()), Dead: r.Str()}
+		nMoved := int(r.U16())
+		h.MovedOmitted = r.U32()
+		if r.Err() == nil && h.Dead == "" {
+			return nil, fmt.Errorf("mirror history %d: empty dead leaf", i)
 		}
-		if int(nMoved) > MaxAssignEntries {
-			return nil, fmt.Errorf("%w: mirror history %d has %d entries", ErrBadMessage, i, nMoved)
+		if nMoved > MaxAssignEntries {
+			return nil, fmt.Errorf("mirror history %d has %d entries", i, nMoved)
 		}
-		h.Version, h.At, h.Dead, h.MovedOmitted = version, clock.Time(at), dead, movedOmitted
-		for j := 0; j < int(nMoved); j++ {
-			cohort, okC := r.str()
-			owner, okO := r.str()
-			if !okC || !okO || cohort == "" || owner == "" {
-				return nil, fmt.Errorf("%w: truncated mirror history %d/%d", ErrBadMessage, i, j)
-			}
-			h.Moved = append(h.Moved, AssignEntry{Cohort: cohort, Owner: owner})
+		var err error
+		if h.Moved, err = readAssignEntries(r, nMoved); err != nil {
+			return nil, fmt.Errorf("mirror history %d: %v", i, err)
 		}
 		m.History = append(m.History, h)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.off)
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // Marshal encodes the digest receipt.
 func (k Ack) Marshal() []byte {
-	checkName("aggregator id", k.Agg)
-	buf := make([]byte, 0, 4+2+len(k.Agg)+1+8+8+8)
-	buf = append(buf, wireMagic[0], wireMagic[1], wireVersion, kindAck)
-	buf = appendStr(buf, k.Agg)
-	var flags uint8
-	if k.Leader {
-		flags |= beatFlagLeader
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, k.AssignVersion)
-	buf = binary.BigEndian.AppendUint64(buf, k.EchoSeq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(k.SentAt))
-	return buf
+	b := appendHeader(make([]byte, 0, 32+len(k.Agg)), kindAck)
+	b = wire.AppendStr(b, k.Agg)
+	b = append(b, flagIf(k.Leader, beatFlagLeader))
+	b = wire.AppendU64(b, k.AssignVersion)
+	b = wire.AppendU64(b, k.EchoSeq)
+	return wire.AppendU64(b, uint64(k.SentAt))
 }
 
-func unmarshalAck(r *reader) (*Ack, error) {
-	agg, ok1 := r.str()
-	flags, ok2 := r.u8()
-	av, ok3 := r.u64()
-	echo, ok4 := r.u64()
-	sentAt, ok5 := r.u64()
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
-		return nil, fmt.Errorf("%w: truncated ack", ErrBadMessage)
+func decodeAck(r *wire.Reader) (*Ack, error) {
+	k := &Ack{Agg: r.Str()}
+	flags := r.U8()
+	k.Leader = flags&beatFlagLeader != 0
+	k.AssignVersion, k.EchoSeq, k.SentAt = r.U64(), r.U64(), clock.Time(r.U64())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	if agg == "" {
-		return nil, fmt.Errorf("%w: empty aggregator id", ErrBadMessage)
+	if k.Agg == "" {
+		return nil, errors.New("empty aggregator id")
 	}
 	if flags&^beatFlagLeader != 0 {
-		return nil, fmt.Errorf("%w: ack flags %#x", ErrBadMessage, flags)
+		return nil, fmt.Errorf("ack flags %#x", flags)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.off)
-	}
-	return &Ack{
-		Agg: agg, Leader: flags&beatFlagLeader != 0,
-		AssignVersion: av, EchoSeq: echo, SentAt: clock.Time(sentAt),
-	}, nil
+	return k, nil
 }

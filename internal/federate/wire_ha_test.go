@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 func randPeerBeat(rng *rand.Rand) PeerBeat {
@@ -174,7 +175,7 @@ func TestHARoundTrip(t *testing.T) {
 
 // TestDecodeRejects covers the HA kinds' failure modes: truncation at
 // every length, trailing bytes, unknown flag bits, illegal liveness,
-// over-bound counts — and that the legacy Unmarshal refuses HA kinds.
+// over-bound counts.
 func TestDecodeRejects(t *testing.T) {
 	beat := PeerBeat{Agg: "agg-a", Region: "eu", Inc: 1, Seq: 5, SentAt: 100,
 		AssignVersion: 2, Leader: true, Ready: true, Leaves: 3, Cohorts: 12, FleetStreams: 10_000}
@@ -198,11 +199,6 @@ func TestDecodeRejects(t *testing.T) {
 		}
 		if _, err := Decode(append(append([]byte(nil), good...), 0)); err == nil {
 			t.Fatalf("%s: trailing byte accepted", name)
-		}
-		// The legacy decoder must refuse the HA kinds rather than
-		// misparse them.
-		if _, _, err := Unmarshal(good); err == nil {
-			t.Fatalf("%s: legacy Unmarshal accepted an HA kind", name)
 		}
 	}
 
@@ -234,7 +230,7 @@ func TestDecodeRejects(t *testing.T) {
 		}()
 		fn()
 	}
-	long := strings.Repeat("x", maxNameLen+1)
+	long := strings.Repeat("x", wire.MaxNameLen+1)
 	mustPanic("long beat agg", func() { PeerBeat{Agg: long}.Marshal() })
 	mustPanic("too many mirror leaves", func() {
 		Mirror{Agg: "a", Leaves: make([]MirrorLeaf, MaxMirrorLeaves+1)}.Marshal()
@@ -248,9 +244,9 @@ func TestDecodeRejects(t *testing.T) {
 	mustPanic("long ack agg", func() { Ack{Agg: long}.Marshal() })
 	mustPanic("mirror over byte budget", func() {
 		// Per-record counts are in bounds but long names push the
-		// encoding past MirrorMTU; the chunker must never build this.
+		// encoding past wire.MaxDatagram; the chunker must never build this.
 		big := Mirror{Agg: "a"}
-		wide := strings.Repeat("n", maxNameLen)
+		wide := strings.Repeat("n", wire.MaxNameLen)
 		for i := 0; i < MaxMirrorLeaves; i++ {
 			big.Leaves = append(big.Leaves, MirrorLeaf{ID: wide, Addr: wide, Region: "eu", Live: uint8(leafAlive)})
 		}

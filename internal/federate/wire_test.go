@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // randDigest builds a random but wire-legal digest (no NaNs, bounded
@@ -72,7 +73,7 @@ func randAssignment(rng *rand.Rand) Assignment {
 	return a
 }
 
-// TestDigestRoundTrip is the codec property test: Marshal∘Unmarshal is
+// TestDigestRoundTrip is the codec property test: Marshal∘Decode is
 // the identity for legal digests and assignments, and re-encoding the
 // decoded value reproduces the exact bytes (canonical encoding).
 func TestDigestRoundTrip(t *testing.T) {
@@ -80,12 +81,13 @@ func TestDigestRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		d := randDigest(rng)
 		b := d.Marshal()
-		got, aMsg, err := Unmarshal(b)
+		msg, err := Decode(b)
 		if err != nil {
-			t.Fatalf("iter %d: unmarshal: %v", i, err)
+			t.Fatalf("iter %d: decode: %v", i, err)
 		}
-		if aMsg != nil {
-			t.Fatalf("iter %d: digest decoded as assignment", i)
+		got := msg.Digest
+		if got == nil || msg.Assign != nil {
+			t.Fatalf("iter %d: digest decoded into the wrong arm: %+v", i, msg)
 		}
 		if !reflect.DeepEqual(*got, d) {
 			t.Fatalf("iter %d: lossy round trip:\n have %+v\n want %+v", i, *got, d)
@@ -97,12 +99,13 @@ func TestDigestRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a := randAssignment(rng)
 		b := a.Marshal()
-		dMsg, got, err := Unmarshal(b)
+		msg, err := Decode(b)
 		if err != nil {
-			t.Fatalf("iter %d: unmarshal: %v", i, err)
+			t.Fatalf("iter %d: decode: %v", i, err)
 		}
-		if dMsg != nil {
-			t.Fatalf("iter %d: assignment decoded as digest", i)
+		got := msg.Assign
+		if got == nil || msg.Digest != nil {
+			t.Fatalf("iter %d: assignment decoded into the wrong arm: %+v", i, msg)
 		}
 		if !reflect.DeepEqual(*got, a) {
 			t.Fatalf("iter %d: lossy round trip:\n have %+v\n want %+v", i, *got, a)
@@ -113,39 +116,39 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejects covers the explicit failure modes: wrong magic,
+// TestDecodeRejectsLeafKinds covers the explicit failure modes: wrong magic,
 // version skew, bad kind, truncation at every length, trailing bytes,
 // and over-bound counts.
-func TestUnmarshalRejects(t *testing.T) {
+func TestDecodeRejectsLeafKinds(t *testing.T) {
 	d := Digest{Leaf: "l1", Region: "eu", Inc: 1, Seq: 9, SentAt: 1000, Weight: 0.5,
 		Cohorts: []CohortDigest{{Filter: "eu/#", Streams: 3, QAPMin: 1,
 			Notable: []Notable{{Peer: "eu/a", Type: 1, At: 7, Inc: 2}}}}}
 	good := d.Marshal()
 
-	if _, _, err := Unmarshal(nil); err == nil {
+	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 'X'
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, err := Decode(bad); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
 	bad = append([]byte(nil), good...)
 	bad[2] = 99 // future version
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, err := Decode(bad); err == nil {
 		t.Fatal("version skew accepted")
 	}
 	bad = append([]byte(nil), good...)
 	bad[3] = 77 // unknown kind
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, err := Decode(bad); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	for n := 0; n < len(good); n++ {
-		if _, _, err := Unmarshal(good[:n]); err == nil {
+		if _, err := Decode(good[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
-	if _, _, err := Unmarshal(append(append([]byte(nil), good...), 0)); err == nil {
+	if _, err := Decode(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -162,7 +165,7 @@ func TestMarshalBoundsPanic(t *testing.T) {
 		}()
 		fn()
 	}
-	long := strings.Repeat("x", maxNameLen+1)
+	long := strings.Repeat("x", wire.MaxNameLen+1)
 	mustPanic("long leaf", func() { Digest{Leaf: long}.Marshal() })
 	mustPanic("too many cohorts", func() {
 		Digest{Leaf: "l", Cohorts: make([]CohortDigest, MaxDigestCohorts+1)}.Marshal()

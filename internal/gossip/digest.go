@@ -13,12 +13,12 @@
 package gossip
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // State is a monitor's opinion about one subject stream, ordered by
@@ -85,11 +85,10 @@ type Digest struct {
 //	count(u16) then per entry: subjLen(u16) subject state(u8) inc(u64)
 //	level(f64)
 //
-// All integers big-endian. Bounded: id and subjects ≤ maxNameLen bytes,
-// count ≤ MaxDigestEntries.
+// All integers big-endian. Bounded: id and subjects ≤ wire.MaxNameLen
+// bytes, count ≤ MaxDigestEntries, the datagram ≤ wire.MaxDatagram.
 const (
-	digestVersion    = 1
-	maxNameLen       = 512
+	digestVersion = 1
 	// MaxDigestEntries bounds one datagram's entry count; larger opinion
 	// sets are chunked across digests by the sender.
 	MaxDigestEntries = 1024
@@ -100,136 +99,71 @@ var digestMagic = [2]byte{'S', 'G'}
 // ErrBadDigest reports an undecodable gossip datagram.
 var ErrBadDigest = errors.New("gossip: bad digest")
 
-// Marshal encodes the digest. It panics if the monitor id, a subject, or
-// the entry count exceeds the wire bounds — a programming error, since
-// the gossiper chunks before encoding.
+// pack encodes d as one or more datagrams of at most MaxDigestEntries
+// entries and wire.MaxDatagram bytes, each stamped with the next value
+// of seq.
+func (d Digest) pack(seq func() uint64) *wire.Chunker {
+	c := wire.NewChunker(func(b []byte) []byte {
+		b = append(b, digestMagic[0], digestMagic[1], digestVersion)
+		b = wire.AppendStr(b, d.Monitor)
+		b = wire.AppendF64(b, d.Weight)
+		return wire.AppendU64(b, seq())
+	}, MaxDigestEntries)
+	for i := range d.Entries {
+		e := &d.Entries[i]
+		c.Add(0, func(b []byte) []byte {
+			b = append(wire.AppendStr(b, e.Subject), byte(e.State))
+			return wire.AppendF64(wire.AppendU64(b, e.Inc), e.Level)
+		})
+	}
+	return c
+}
+
+// Marshal encodes the digest as one datagram. It panics if the monitor
+// id, a subject, the entry count or the encoded size exceeds the wire
+// bounds — a programming error, since the gossiper chunks with pack.
 func (d Digest) Marshal() []byte {
-	if len(d.Monitor) > maxNameLen {
-		panic(fmt.Sprintf("gossip: monitor id %d bytes exceeds %d", len(d.Monitor), maxNameLen))
-	}
-	if len(d.Entries) > MaxDigestEntries {
-		panic(fmt.Sprintf("gossip: %d entries exceeds %d", len(d.Entries), MaxDigestEntries))
-	}
-	size := 3 + 2 + len(d.Monitor) + 8 + 8 + 2
-	for _, e := range d.Entries {
-		if len(e.Subject) > maxNameLen {
-			panic(fmt.Sprintf("gossip: subject %d bytes exceeds %d", len(e.Subject), maxNameLen))
-		}
-		size += 2 + len(e.Subject) + 1 + 8 + 8
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, digestMagic[0], digestMagic[1], digestVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Monitor)))
-	buf = append(buf, d.Monitor...)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.Weight))
-	buf = binary.BigEndian.AppendUint64(buf, d.Seq)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(d.Entries)))
-	for _, e := range d.Entries {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Subject)))
-		buf = append(buf, e.Subject...)
-		buf = append(buf, byte(e.State))
-		buf = binary.BigEndian.AppendUint64(buf, e.Inc)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Level))
-	}
-	return buf
+	return d.pack(func() uint64 { return d.Seq }).One()
 }
 
 // UnmarshalDigest decodes a gossip datagram. Any malformed input returns
 // ErrBadDigest; no input may panic (the port is open to the world, same
 // contract as the heartbeat codec).
 func UnmarshalDigest(b []byte) (Digest, error) {
-	r := reader{buf: b}
-	magic0, _ := r.u8()
-	magic1, _ := r.u8()
-	ver, ok := r.u8()
-	if !ok || magic0 != digestMagic[0] || magic1 != digestMagic[1] {
-		return Digest{}, fmt.Errorf("%w: bad magic", ErrBadDigest)
-	}
-	if ver != digestVersion {
-		return Digest{}, fmt.Errorf("%w: version %d", ErrBadDigest, ver)
-	}
-	id, ok := r.str()
-	if !ok {
-		return Digest{}, fmt.Errorf("%w: truncated monitor id", ErrBadDigest)
-	}
-	wbits, ok1 := r.u64()
-	seq, ok2 := r.u64()
-	count, ok3 := r.u16()
-	if !ok1 || !ok2 || !ok3 {
-		return Digest{}, fmt.Errorf("%w: truncated header", ErrBadDigest)
-	}
-	if int(count) > MaxDigestEntries {
-		return Digest{}, fmt.Errorf("%w: %d entries", ErrBadDigest, count)
-	}
-	d := Digest{Monitor: id, Weight: math.Float64frombits(wbits), Seq: seq}
-	if count > 0 {
-		d.Entries = make([]Opinion, 0, count)
-	}
-	for i := 0; i < int(count); i++ {
-		subj, ok := r.str()
-		if !ok {
-			return Digest{}, fmt.Errorf("%w: truncated entry %d", ErrBadDigest, i)
-		}
-		st, ok1 := r.u8()
-		inc, ok2 := r.u64()
-		lbits, ok3 := r.u64()
-		if !ok1 || !ok2 || !ok3 || State(st) > StateOffline {
-			return Digest{}, fmt.Errorf("%w: malformed entry %d", ErrBadDigest, i)
-		}
-		d.Entries = append(d.Entries, Opinion{
-			Subject: subj,
-			State:   State(st),
-			Inc:     inc,
-			Level:   math.Float64frombits(lbits),
-		})
-	}
-	if len(r.buf) != r.off {
-		return Digest{}, fmt.Errorf("%w: %d trailing bytes", ErrBadDigest, len(r.buf)-r.off)
+	d, err := decodeDigest(b)
+	if err != nil {
+		return Digest{}, fmt.Errorf("%w: %v", ErrBadDigest, err)
 	}
 	return d, nil
 }
 
-// reader is a bounds-checked cursor over a datagram.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) u8() (byte, bool) {
-	if r.off+1 > len(r.buf) {
-		return 0, false
+func decodeDigest(b []byte) (Digest, error) {
+	if len(b) > wire.MaxDatagram {
+		return Digest{}, fmt.Errorf("%d bytes exceeds a datagram", len(b))
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v, true
-}
-
-func (r *reader) u16() (uint16, bool) {
-	if r.off+2 > len(r.buf) {
-		return 0, false
+	r := wire.NewReader(b)
+	if m0, m1 := r.U8(), r.U8(); m0 != digestMagic[0] || m1 != digestMagic[1] {
+		return Digest{}, errors.New("bad magic")
 	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, true
-}
-
-func (r *reader) u64() (uint64, bool) {
-	if r.off+8 > len(r.buf) {
-		return 0, false
+	if ver := r.U8(); r.Err() == nil && ver != digestVersion {
+		return Digest{}, fmt.Errorf("version %d", ver)
 	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, true
-}
-
-func (r *reader) str() (string, bool) {
-	n, ok := r.u16()
-	if !ok || int(n) > maxNameLen || r.off+int(n) > len(r.buf) {
-		return "", false
+	d := Digest{Monitor: r.Str(), Weight: r.F64(), Seq: r.U64()}
+	count := int(r.U16())
+	if count > MaxDigestEntries {
+		return Digest{}, fmt.Errorf("%d entries", count)
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, true
+	if count > 0 {
+		d.Entries = make([]Opinion, 0, count)
+	}
+	for i := 0; i < count && r.Err() == nil; i++ {
+		e := Opinion{Subject: r.Str(), State: State(r.U8()), Inc: r.U64(), Level: r.F64()}
+		if e.State > StateOffline {
+			return Digest{}, fmt.Errorf("entry %d: state %d", i, e.State)
+		}
+		d.Entries = append(d.Entries, e)
+	}
+	return d, r.Done()
 }
 
 // clampWeight forces a received (or computed) weight into [floor, 1],

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestDigestRoundTrip(t *testing.T) {
@@ -95,10 +97,10 @@ func TestDigestMarshalPanicsOnOversize(t *testing.T) {
 		f()
 	}
 	assertPanics("long monitor id", func() {
-		Digest{Monitor: strings.Repeat("x", maxNameLen+1)}.Marshal()
+		Digest{Monitor: strings.Repeat("x", wire.MaxNameLen+1)}.Marshal()
 	})
 	assertPanics("long subject", func() {
-		Digest{Monitor: "m", Entries: []Opinion{{Subject: strings.Repeat("x", maxNameLen+1)}}}.Marshal()
+		Digest{Monitor: "m", Entries: []Opinion{{Subject: strings.Repeat("x", wire.MaxNameLen+1)}}}.Marshal()
 	})
 	assertPanics("too many entries", func() {
 		Digest{Monitor: "m", Entries: make([]Opinion, MaxDigestEntries+1)}.Marshal()

@@ -84,6 +84,7 @@ func (o *Options) normalize() {
 // Counters is the gossiper's monotonic counter snapshot.
 type Counters struct {
 	DigestsSent     uint64 `json:"digests_sent"`
+	SendErrors      uint64 `json:"send_errors"`
 	DigestsReceived uint64 `json:"digests_received"`
 	DigestsBad      uint64 `json:"digests_bad"`
 	EntriesMerged   uint64 `json:"entries_merged"`
@@ -129,6 +130,7 @@ type Gossiper struct {
 	sub *registry.Subscription
 
 	digestsSent     atomic.Uint64
+	sendErrors      atomic.Uint64
 	digestsReceived atomic.Uint64
 	digestsBad      atomic.Uint64
 	entriesMerged   atomic.Uint64
@@ -266,6 +268,8 @@ func (g *Gossiper) Round(now clock.Time) {
 		for _, d := range digests {
 			if g.ep.Send(to, d) == nil {
 				g.digestsSent.Add(1)
+			} else {
+				g.sendErrors.Add(1)
 			}
 		}
 	}
@@ -387,9 +391,10 @@ func (g *Gossiper) interestLocked() map[string]struct{} {
 }
 
 // buildDigestsLocked encodes this monitor's opinions over the interest
-// set, chunked to the wire bound. Trusted opinions ARE included for
-// subjects others suspect: an explicit refutation (with incarnation)
-// is what lets a recovered process return to trusted fleet-wide.
+// set, chunked to the wire bounds (entry count and datagram bytes).
+// Trusted opinions ARE included for subjects others suspect: an explicit
+// refutation (with incarnation) is what lets a recovered process return
+// to trusted fleet-wide.
 func (g *Gossiper) buildDigestsLocked(now clock.Time) [][]byte {
 	interest := g.interestLocked()
 	if len(interest) == 0 {
@@ -415,18 +420,8 @@ func (g *Gossiper) buildDigestsLocked(now clock.Time) [][]byte {
 	if len(entries) == 0 {
 		return nil
 	}
-	var out [][]byte
-	for len(entries) > 0 {
-		n := len(entries)
-		if n > MaxDigestEntries {
-			n = MaxDigestEntries
-		}
-		g.seq++
-		d := Digest{Monitor: g.id, Weight: g.weightLocked(), Seq: g.seq, Entries: entries[:n]}
-		out = append(out, d.Marshal())
-		entries = entries[n:]
-	}
-	return out
+	d := Digest{Monitor: g.id, Weight: g.weightLocked(), Entries: entries}
+	return d.pack(func() uint64 { g.seq++; return g.seq }).Chunks()
 }
 
 // levelOf reads the subject's live accrual suspicion level; 0 when
@@ -640,6 +635,7 @@ func (g *Gossiper) Counters() Counters {
 	g.mu.Unlock()
 	return Counters{
 		DigestsSent:     g.digestsSent.Load(),
+		SendErrors:      g.sendErrors.Load(),
 		DigestsReceived: g.digestsReceived.Load(),
 		DigestsBad:      g.digestsBad.Load(),
 		EntriesMerged:   g.entriesMerged.Load(),

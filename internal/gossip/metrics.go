@@ -10,6 +10,8 @@ import "repro/internal/metrics"
 func (g *Gossiper) InstrumentMetrics(set *metrics.Set) {
 	set.CounterFunc("sfd_gossip_digests_sent_total",
 		"Digest datagrams sent to peer monitors.", g.digestsSent.Load)
+	set.CounterFunc("sfd_gossip_send_errors_total",
+		"Digest sends that failed at the endpoint.", g.sendErrors.Load)
 	set.CounterFunc("sfd_gossip_digests_received_total",
 		"Digest datagrams received and decoded.", g.digestsReceived.Load)
 	set.CounterFunc("sfd_gossip_digests_bad_total",

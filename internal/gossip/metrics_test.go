@@ -37,6 +37,7 @@ func TestInstrumentMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE sfd_gossip_digests_sent_total counter",
 		"sfd_gossip_digests_sent_total " + strconv.FormatUint(sent, 10),
+		"sfd_gossip_send_errors_total 0",
 		"sfd_gossip_global_offlines_total",
 		"sfd_gossip_global_suspects_total",
 		"sfd_gossip_opinions_expired_total",

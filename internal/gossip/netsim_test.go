@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
 	"repro/internal/registry"
+	"repro/internal/wire"
 )
 
 // The acceptance scenario from the issue: three monitors watch the same
@@ -255,5 +257,83 @@ func TestNetsimPartitionQuorumAndRecovery(t *testing.T) {
 	delivered, dropped := net.Stats()
 	if delivered == 0 || dropped == 0 {
 		t.Fatalf("implausible traffic stats: delivered %d dropped %d", delivered, dropped)
+	}
+}
+
+// TestDigestsFitDatagramsWithLongSubjects is the byte-budget regression:
+// the gossiper used to cut digests at MaxDigestEntries by count only, and
+// an entry is 19 B + subject, so 1024 suspected 100-byte subjects made
+// one ~120 KB datagram — above UDP's 65 507-byte ceiling, where a real
+// socket fails the send (and netsim now does too). Every datagram must
+// fit wire.MaxDatagram, every send must succeed, and the union of the
+// digests must carry each subject exactly once.
+func TestDigestsFitDatagramsWithLongSubjects(t *testing.T) {
+	sim := clock.NewSim(0)
+	net := netsim.New(sim, netsim.LinkParams{DelayBase: clock.Millisecond}, 1)
+	reg := registry.New(sim,
+		func(string) detector.Detector { return detector.NewFixed(300*clock.Millisecond, 0) },
+		registry.Options{WheelTick: 10 * clock.Millisecond, MaxSilence: -1, EvictAfter: -1})
+	reg.Start()
+	defer reg.Stop()
+	node, peer := net.AddNode("mon-a", 16), net.AddNode("mon-b", 4096)
+	g := New(node, sim, reg, []string{"mon-b"}, Options{Fanout: 1})
+	defer g.Stop()
+
+	want := make(map[string]int, MaxDigestEntries)
+	for i := 0; i < MaxDigestEntries; i++ {
+		subj := fmt.Sprintf("%s-%04d", strings.Repeat("s", 95), i)
+		want[subj] = 0
+		beat(reg, sim, subj, 1, 0)
+	}
+	sim.Advance(clock.Second) // every subject misses its freshness point
+	g.Round(sim.Now())
+	sim.Advance(clock.Second)
+
+	if c := g.Counters(); c.SendErrors != 0 || c.DigestsSent < 2 {
+		t.Fatalf("send errors = %d, digests sent = %d; want 0 and a chunked round", c.SendErrors, c.DigestsSent)
+	}
+	if _, dropped := net.Stats(); dropped != 0 {
+		t.Fatalf("netsim dropped %d datagrams", dropped)
+	}
+	for _, in := range peer.Drain() {
+		if len(in.Payload) > wire.MaxDatagram {
+			t.Fatalf("%d-byte digest exceeds wire.MaxDatagram", len(in.Payload))
+		}
+		d, err := UnmarshalDigest(in.Payload)
+		if err != nil {
+			t.Fatalf("digest does not decode: %v", err)
+		}
+		for _, e := range d.Entries {
+			if e.State != StateSuspect {
+				t.Fatalf("%s gossiped as %v, want suspect", e.Subject, e.State)
+			}
+			want[e.Subject]++
+		}
+	}
+	for subj, n := range want {
+		if n != 1 {
+			t.Fatalf("subject %s carried %d times, want exactly once", subj, n)
+		}
+	}
+}
+
+// TestRoundCountsSendErrors: a send the endpoint refuses is counted, not
+// discarded (here: an unknown peer address).
+func TestRoundCountsSendErrors(t *testing.T) {
+	sim := clock.NewSim(0)
+	net := netsim.New(sim, netsim.DefaultLink(), 1)
+	reg := registry.New(sim,
+		func(string) detector.Detector { return detector.NewFixed(300*clock.Millisecond, 0) },
+		registry.Options{WheelTick: 10 * clock.Millisecond, MaxSilence: -1, EvictAfter: -1})
+	reg.Start()
+	defer reg.Stop()
+	g := New(net.AddNode("mon-a", 16), sim, reg, []string{"nowhere"}, Options{})
+	defer g.Stop()
+
+	beat(reg, sim, "s1", 1, 0)
+	sim.Advance(clock.Second)
+	g.Round(sim.Now())
+	if c := g.Counters(); c.SendErrors != 1 || c.DigestsSent != 0 {
+		t.Fatalf("send errors = %d, digests sent = %d; want 1 and 0", c.SendErrors, c.DigestsSent)
 	}
 }

@@ -1,12 +1,16 @@
 package gossip
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/detector"
+	"repro/internal/fanout"
 	"repro/internal/persist"
 	"repro/internal/registry"
+	"repro/internal/wire"
 )
 
 func sampleGossipRecord() *persist.GossipRecord {
@@ -145,5 +149,47 @@ func TestGossipSurvivesRestart(t *testing.T) {
 	// The record is claimed exactly once; a third party gets nothing.
 	if got := r2.ClaimRestoredGossip(); got != nil {
 		t.Fatalf("restored gossip claimable twice: %+v", got)
+	}
+}
+
+// TestNameBoundEnforcedAtRegistration: the registry is where a stream
+// name enters the program, so that is where wire.MaxNameLen is enforced.
+// A 513-byte name used to register, then panic Digest.Marshal in the
+// gossip loop once suspected, and was silently truncated by the snapshot
+// codec (two long names could collide after a warm restart). Over the
+// bound is refused and counted; at the bound, a gossip round and a
+// snapshot round trip both carry the name whole.
+func TestNameBoundEnforcedAtRegistration(t *testing.T) {
+	sim, reg, g, ep, _ := newTestRig(t, Options{})
+	if err := reg.Register(strings.Repeat("x", wire.MaxNameLen+1)); !errors.Is(err, fanout.ErrNameTooLong) {
+		t.Fatalf("Register(513 bytes) = %v, want ErrNameTooLong", err)
+	}
+	beat(reg, sim, strings.Repeat("y", wire.MaxNameLen+1), 1, 0)
+	if c := reg.Counters(); c.InvalidNames != 2 || reg.Len() != 0 {
+		t.Fatalf("invalid_names = %d, streams = %d; want 2 and 0", c.InvalidNames, reg.Len())
+	}
+
+	name := strings.Repeat("n", wire.MaxNameLen)
+	beat(reg, sim, name, 1, 0)
+	sim.Advance(clock.Second) // suspected
+	g.Round(sim.Now())
+	sent := ep.take()
+	if len(sent) == 0 {
+		t.Fatal("round sent no digest")
+	}
+	d, err := UnmarshalDigest(sent[0].payload)
+	if err != nil || len(d.Entries) != 1 || d.Entries[0].Subject != name {
+		t.Fatalf("digest = %+v, %v; want the one 512-byte subject", d.Entries, err)
+	}
+
+	snap, err := persist.DecodeSnapshot(persist.EncodeSnapshot(reg.ExportSnapshot(sim.Now())))
+	if err != nil {
+		t.Fatalf("snapshot round trip: %v", err)
+	}
+	if len(snap.Streams) != 1 || snap.Streams[0].Peer != name {
+		t.Fatalf("snapshot streams = %d, want the one 512-byte name", len(snap.Streams))
+	}
+	if snap.Gossip == nil || len(snap.Gossip.Suspects) != 1 || snap.Gossip.Suspects[0] != name {
+		t.Fatalf("snapshot gossip record = %+v, want the 512-byte suspect", snap.Gossip)
 	}
 }

@@ -76,6 +76,15 @@ type link struct {
 // ErrUnknownNode reports a send to or from an unregistered address.
 var ErrUnknownNode = errors.New("netsim: unknown node")
 
+// MaxPayload is UDP's payload ceiling over IPv4 (65 535 less the IP and
+// UDP headers). A real socket fails a larger send with EMSGSIZE; so does
+// the simulator, or oversize-datagram bugs would reproduce only on
+// sockets. A property of the protocol, not of a link.
+const MaxPayload = 65507
+
+// ErrTooLarge reports a send above MaxPayload.
+var ErrTooLarge = errors.New("netsim: payload exceeds the UDP ceiling")
+
 // New creates an empty network on the given simulated clock, with the
 // given default link parameters for node pairs that have no explicit
 // link, and a deterministic seed.
@@ -165,6 +174,11 @@ func (n *Network) send(from, to string, payload []byte) error {
 	if !ok {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
+	}
+	if len(payload) > MaxPayload {
+		n.dropped++
+		n.mu.Unlock()
+		return fmt.Errorf("%w: %d bytes to %q", ErrTooLarge, len(payload), to)
 	}
 	key := linkKey{from, to}
 	if n.partitioned[key] {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/clock"
@@ -46,6 +47,25 @@ func TestUnknownNode(t *testing.T) {
 	_, a, _, _ := twoNodeNet(1, DefaultLink())
 	if err := a.Send("nobody", nil); err == nil {
 		t.Fatal("send to unknown node succeeded")
+	}
+}
+
+// TestPayloadCeiling: a payload above UDP's ceiling fails the send and
+// counts a drop, as a socket's EMSGSIZE would; one at the ceiling passes.
+func TestPayloadCeiling(t *testing.T) {
+	n, a, b, clk := twoNodeNet(1, LinkParams{DelayBase: msN})
+	if err := a.Send("b", make([]byte, MaxPayload)); err != nil {
+		t.Fatalf("send at the ceiling: %v", err)
+	}
+	if err := a.Send("b", make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("send above the ceiling = %v, want ErrTooLarge", err)
+	}
+	clk.Advance(msN)
+	if got := b.Drain(); len(got) != 1 || len(got[0].Payload) != MaxPayload {
+		t.Fatalf("delivered %d datagrams, want only the one at the ceiling", len(got))
+	}
+	if delivered, dropped := n.Stats(); delivered != 1 || dropped != 1 {
+		t.Fatalf("stats = %d delivered, %d dropped; want 1 and 1", delivered, dropped)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/wire"
 )
 
 // Wire format (all integers big-endian, matching the heartbeat and
@@ -37,7 +37,7 @@ import (
 //	           level f64, seq u64, at i64)*
 //	         | verdictCount u32 | (subj str, state u8)*
 //	         | suspectCount u32 | str*
-//	str:     len u16 | bytes    (len <= maxNameLen)
+//	str:     len u16 | bytes    (len <= wire.MaxNameLen)
 //
 //	journal (kind 2):
 //	  header | epoch u64 | createdAt i64 | record*
@@ -53,7 +53,6 @@ const (
 	version      = 1
 	kindSnapshot = 1
 	kindJournal  = 2
-	maxNameLen   = 512
 	headerLen    = 4 + 2 + 1 + 1
 
 	// Decode-side sanity bounds: a corrupted count must not drive a huge
@@ -77,10 +76,10 @@ var (
 func EncodeSnapshot(s *Snapshot) []byte {
 	b := make([]byte, 0, 64+len(s.Streams)*96)
 	b = appendHeader(b, kindSnapshot)
-	b = binary.BigEndian.AppendUint64(b, s.Epoch)
-	b = binary.BigEndian.AppendUint64(b, uint64(s.TakenAt))
-	b = binary.BigEndian.AppendUint64(b, uint64(s.WallNano))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Streams)))
+	b = wire.AppendU64(b, s.Epoch)
+	b = wire.AppendU64(b, uint64(s.TakenAt))
+	b = wire.AppendU64(b, uint64(s.WallNano))
+	b = wire.AppendU32(b, uint32(len(s.Streams)))
 	for i := range s.Streams {
 		b = appendStream(b, &s.Streams[i])
 	}
@@ -90,7 +89,7 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return wire.AppendU32(b, crc32.ChecksumIEEE(b))
 }
 
 // DecodeSnapshot parses and validates a snapshot file image.
@@ -105,210 +104,207 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
-	r := reader{buf: body, off: headerLen}
+	r := wire.NewReader(body[headerLen:])
 	s := &Snapshot{
-		Epoch:    r.u64(),
-		TakenAt:  clock.Time(r.u64()),
-		WallNano: int64(r.u64()),
+		Epoch:    r.U64(),
+		TakenAt:  clock.Time(r.U64()),
+		WallNano: int64(r.U64()),
 	}
-	n := r.u32()
+	n := r.U32()
 	if n > maxStreams || uint64(n)*2 > uint64(len(body)) {
 		return nil, fmt.Errorf("%w: implausible stream count %d", ErrCorrupt, n)
 	}
 	s.Streams = make([]StreamRecord, 0, n)
-	for i := uint32(0); i < n; i++ {
-		rec, err := readStream(&r)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		rec, err := readStream(r)
 		if err != nil {
 			return nil, err
 		}
 		s.Streams = append(s.Streams, rec)
 	}
-	if r.u8() == 1 {
-		g, err := readGossip(&r)
+	if r.U8() == 1 {
+		g, err := readGossip(r)
 		if err != nil {
 			return nil, err
 		}
 		s.Gossip = g
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return s, nil
 }
 
 func appendStream(b []byte, rec *StreamRecord) []byte {
-	b = appendStr(b, rec.Peer)
-	b = binary.BigEndian.AppendUint64(b, rec.Inc)
+	b = wire.AppendStr(b, rec.Peer)
+	b = wire.AppendU64(b, rec.Inc)
 	b = append(b, rec.Phase, boolByte(rec.Seen))
-	b = binary.BigEndian.AppendUint64(b, rec.LastSeq)
-	b = binary.BigEndian.AppendUint64(b, uint64(rec.LastArrival))
-	b = binary.BigEndian.AppendUint64(b, uint64(rec.SuspectSince))
-	b = binary.BigEndian.AppendUint64(b, rec.Heartbeats)
-	b = binary.BigEndian.AppendUint64(b, rec.Stale)
-	b = binary.BigEndian.AppendUint64(b, rec.Mistakes)
-	b = binary.BigEndian.AppendUint64(b, uint64(rec.MistakeTime))
+	b = wire.AppendU64(b, rec.LastSeq)
+	b = wire.AppendU64(b, uint64(rec.LastArrival))
+	b = wire.AppendU64(b, uint64(rec.SuspectSince))
+	b = wire.AppendU64(b, rec.Heartbeats)
+	b = wire.AppendU64(b, rec.Stale)
+	b = wire.AppendU64(b, rec.Mistakes)
+	b = wire.AppendU64(b, uint64(rec.MistakeTime))
 	if rec.Det == nil {
 		return append(b, 0)
 	}
 	b = append(b, 1)
 	d := rec.Det
-	b = binary.BigEndian.AppendUint64(b, uint64(d.Margin))
-	b = binary.BigEndian.AppendUint64(b, uint64(d.FP))
+	b = wire.AppendU64(b, uint64(d.Margin))
+	b = wire.AppendU64(b, uint64(d.FP))
 	b = append(b, uint8(d.State))
-	b = binary.BigEndian.AppendUint32(b, uint32(d.SlotIndex))
-	b = binary.BigEndian.AppendUint64(b, d.LastSeq)
-	b = binary.BigEndian.AppendUint64(b, uint64(d.LastSend))
-	b = binary.BigEndian.AppendUint64(b, uint64(d.LastDelay))
+	b = wire.AppendU32(b, uint32(d.SlotIndex))
+	b = wire.AppendU64(b, d.LastSeq)
+	b = wire.AppendU64(b, uint64(d.LastSend))
+	b = wire.AppendU64(b, uint64(d.LastDelay))
 	b = append(b, boolByte(d.HaveSeq))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.GapAvg))
+	b = wire.AppendF64(b, d.GapAvg)
 	b = append(b, boolByte(d.GapAvgOK))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.StepScale))
+	b = wire.AppendF64(b, d.StepScale)
 	b = append(b, uint8(d.LastDir))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Window)))
+	b = wire.AppendU32(b, uint32(len(d.Window)))
 	for _, w := range d.Window {
-		b = binary.BigEndian.AppendUint64(b, w.Seq)
-		b = binary.BigEndian.AppendUint64(b, uint64(w.Recv))
+		b = wire.AppendU64(b, w.Seq)
+		b = wire.AppendU64(b, uint64(w.Recv))
 	}
 	return b
 }
 
-func readStream(r *reader) (StreamRecord, error) {
+func readStream(r *wire.Reader) (StreamRecord, error) {
 	rec := StreamRecord{
-		Peer:         r.str(),
-		Inc:          r.u64(),
-		Phase:        r.u8(),
-		Seen:         r.u8() == 1,
-		LastSeq:      r.u64(),
-		LastArrival:  clock.Time(r.u64()),
-		SuspectSince: clock.Time(r.u64()),
-		Heartbeats:   r.u64(),
-		Stale:        r.u64(),
-		Mistakes:     r.u64(),
-		MistakeTime:  clock.Duration(r.u64()),
+		Peer:         r.Str(),
+		Inc:          r.U64(),
+		Phase:        r.U8(),
+		Seen:         r.U8() == 1,
+		LastSeq:      r.U64(),
+		LastArrival:  clock.Time(r.U64()),
+		SuspectSince: clock.Time(r.U64()),
+		Heartbeats:   r.U64(),
+		Stale:        r.U64(),
+		Mistakes:     r.U64(),
+		MistakeTime:  clock.Duration(r.U64()),
 	}
 	if rec.Phase > PhaseOffline {
 		return rec, fmt.Errorf("%w: phase %d out of range", ErrCorrupt, rec.Phase)
 	}
-	if r.u8() == 1 {
+	if r.U8() == 1 {
 		d := &core.SFDState{
-			Margin:    clock.Duration(r.u64()),
-			FP:        clock.Time(r.u64()),
-			State:     core.State(r.u8()),
-			SlotIndex: int(r.u32()),
-			LastSeq:   r.u64(),
-			LastSend:  clock.Time(r.u64()),
-			LastDelay: clock.Duration(r.u64()),
-			HaveSeq:   r.u8() == 1,
-			GapAvg:    math.Float64frombits(r.u64()),
-			GapAvgOK:  r.u8() == 1,
-			StepScale: math.Float64frombits(r.u64()),
-			LastDir:   int8(r.u8()),
+			Margin:    clock.Duration(r.U64()),
+			FP:        clock.Time(r.U64()),
+			State:     core.State(r.U8()),
+			SlotIndex: int(r.U32()),
+			LastSeq:   r.U64(),
+			LastSend:  clock.Time(r.U64()),
+			LastDelay: clock.Duration(r.U64()),
+			HaveSeq:   r.U8() == 1,
+			GapAvg:    r.F64(),
+			GapAvgOK:  r.U8() == 1,
+			StepScale: r.F64(),
+			LastDir:   int8(r.U8()),
 		}
-		n := r.u32()
-		if n > maxSamples || int(n)*16 > r.remaining() {
+		n := r.U32()
+		if n > maxSamples || int(n)*16 > r.Remaining() {
 			return rec, fmt.Errorf("%w: implausible sample count %d", ErrCorrupt, n)
 		}
 		d.Window = make([]detector.ArrivalSample, 0, n)
 		for i := uint32(0); i < n; i++ {
 			d.Window = append(d.Window, detector.ArrivalSample{
-				Seq: r.u64(), Recv: clock.Time(r.u64()),
+				Seq: r.U64(), Recv: clock.Time(r.U64()),
 			})
 		}
 		rec.Det = d
 	}
-	return rec, r.err
+	return rec, nil
 }
 
 func appendGossip(b []byte, g *GossipRecord) []byte {
-	b = appendStr(b, g.ID)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(g.MistakeRate))
-	b = binary.BigEndian.AppendUint64(b, g.Seq)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(g.Weights)))
+	b = wire.AppendStr(b, g.ID)
+	b = wire.AppendF64(b, g.MistakeRate)
+	b = wire.AppendU64(b, g.Seq)
+	b = wire.AppendU32(b, uint32(len(g.Weights)))
 	for _, w := range g.Weights {
-		b = appendStr(b, w.Monitor)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(w.Weight))
+		b = wire.AppendStr(b, w.Monitor)
+		b = wire.AppendF64(b, w.Weight)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(g.Opinions)))
+	b = wire.AppendU32(b, uint32(len(g.Opinions)))
 	for _, o := range g.Opinions {
-		b = appendStr(b, o.Subject)
-		b = appendStr(b, o.Monitor)
+		b = wire.AppendStr(b, o.Subject)
+		b = wire.AppendStr(b, o.Monitor)
 		b = append(b, o.State)
-		b = binary.BigEndian.AppendUint64(b, o.Inc)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(o.Level))
-		b = binary.BigEndian.AppendUint64(b, o.Seq)
-		b = binary.BigEndian.AppendUint64(b, uint64(o.At))
+		b = wire.AppendU64(b, o.Inc)
+		b = wire.AppendF64(b, o.Level)
+		b = wire.AppendU64(b, o.Seq)
+		b = wire.AppendU64(b, uint64(o.At))
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(g.Verdicts)))
+	b = wire.AppendU32(b, uint32(len(g.Verdicts)))
 	for _, v := range g.Verdicts {
-		b = appendStr(b, v.Subject)
+		b = wire.AppendStr(b, v.Subject)
 		b = append(b, v.State)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(g.Suspects)))
+	b = wire.AppendU32(b, uint32(len(g.Suspects)))
 	for _, s := range g.Suspects {
-		b = appendStr(b, s)
+		b = wire.AppendStr(b, s)
 	}
 	return b
 }
 
-func readGossip(r *reader) (*GossipRecord, error) {
+func readGossip(r *wire.Reader) (*GossipRecord, error) {
 	g := &GossipRecord{
-		ID:          r.str(),
-		MistakeRate: math.Float64frombits(r.u64()),
-		Seq:         r.u64(),
+		ID:          r.Str(),
+		MistakeRate: r.F64(),
+		Seq:         r.U64(),
 	}
-	n := r.u32()
-	if n > maxEntries || int(n)*10 > r.remaining() {
+	n := r.U32()
+	if n > maxEntries || int(n)*10 > r.Remaining() {
 		return nil, fmt.Errorf("%w: implausible weight count %d", ErrCorrupt, n)
 	}
 	g.Weights = make([]MonitorWeight, 0, n)
 	for i := uint32(0); i < n; i++ {
 		g.Weights = append(g.Weights, MonitorWeight{
-			Monitor: r.str(), Weight: math.Float64frombits(r.u64()),
+			Monitor: r.Str(), Weight: r.F64(),
 		})
 	}
-	n = r.u32()
-	if n > maxEntries || int(n)*37 > r.remaining() {
+	n = r.U32()
+	if n > maxEntries || int(n)*37 > r.Remaining() {
 		return nil, fmt.Errorf("%w: implausible opinion count %d", ErrCorrupt, n)
 	}
 	g.Opinions = make([]OpinionRecord, 0, n)
 	for i := uint32(0); i < n; i++ {
 		g.Opinions = append(g.Opinions, OpinionRecord{
-			Subject: r.str(),
-			Monitor: r.str(),
-			State:   r.u8(),
-			Inc:     r.u64(),
-			Level:   math.Float64frombits(r.u64()),
-			Seq:     r.u64(),
-			At:      clock.Time(r.u64()),
+			Subject: r.Str(),
+			Monitor: r.Str(),
+			State:   r.U8(),
+			Inc:     r.U64(),
+			Level:   r.F64(),
+			Seq:     r.U64(),
+			At:      clock.Time(r.U64()),
 		})
 	}
-	n = r.u32()
-	if n > maxEntries || int(n)*3 > r.remaining() {
+	n = r.U32()
+	if n > maxEntries || int(n)*3 > r.Remaining() {
 		return nil, fmt.Errorf("%w: implausible verdict count %d", ErrCorrupt, n)
 	}
 	g.Verdicts = make([]VerdictRecord, 0, n)
 	for i := uint32(0); i < n; i++ {
-		g.Verdicts = append(g.Verdicts, VerdictRecord{Subject: r.str(), State: r.u8()})
+		g.Verdicts = append(g.Verdicts, VerdictRecord{Subject: r.Str(), State: r.U8()})
 	}
-	n = r.u32()
-	if n > maxEntries || int(n)*2 > r.remaining() {
+	n = r.U32()
+	if n > maxEntries || int(n)*2 > r.Remaining() {
 		return nil, fmt.Errorf("%w: implausible suspect count %d", ErrCorrupt, n)
 	}
 	g.Suspects = make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {
-		g.Suspects = append(g.Suspects, r.str())
+		g.Suspects = append(g.Suspects, r.Str())
 	}
-	return g, r.err
+	return g, nil
 }
 
 // EncodeJournalHeader serializes the journal file preamble for epoch.
 func EncodeJournalHeader(epoch uint64, createdAt clock.Time) []byte {
 	b := appendHeader(make([]byte, 0, headerLen+16), kindJournal)
-	b = binary.BigEndian.AppendUint64(b, epoch)
-	return binary.BigEndian.AppendUint64(b, uint64(createdAt))
+	b = wire.AppendU64(b, epoch)
+	return wire.AppendU64(b, uint64(createdAt))
 }
 
 // AppendDeltaRecord serializes one length-prefixed, checksummed journal
@@ -316,12 +312,12 @@ func EncodeJournalHeader(epoch uint64, createdAt clock.Time) []byte {
 func AppendDeltaRecord(b []byte, d Delta) []byte {
 	payload := make([]byte, 0, 21+len(d.Peer))
 	payload = append(payload, d.Kind)
-	payload = binary.BigEndian.AppendUint64(payload, uint64(d.At))
-	payload = binary.BigEndian.AppendUint64(payload, d.Inc)
+	payload = wire.AppendU64(payload, uint64(d.At))
+	payload = wire.AppendU64(payload, d.Inc)
 	payload = append(payload, d.Phase)
-	payload = appendStr(payload, d.Peer)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	payload = wire.AppendStr(payload, d.Peer)
+	b = wire.AppendU32(b, uint32(len(payload)))
+	b = wire.AppendU32(b, crc32.ChecksumIEEE(payload))
 	return append(b, payload...)
 }
 
@@ -333,35 +329,30 @@ func DecodeJournal(data []byte) (epoch uint64, deltas []Delta, truncated bool, e
 	if err := checkHeader(data, kindJournal); err != nil {
 		return 0, nil, false, err
 	}
-	r := reader{buf: data, off: headerLen}
-	epoch = r.u64()
-	r.u64() // createdAt: informational only
-	if r.err != nil {
+	r := wire.NewReader(data[headerLen:])
+	epoch = r.U64()
+	r.U64() // createdAt: informational only
+	if r.Err() != nil {
 		return 0, nil, false, ErrCorrupt
 	}
-	for r.off < len(data) {
-		if r.remaining() < 8 {
+	for r.Remaining() > 0 {
+		plen, sum := r.U32(), r.U32()
+		if plen < 19 || plen > 8+wire.MaxNameLen+13 {
 			return epoch, deltas, true, nil
 		}
-		plen := r.u32()
-		sum := r.u32()
-		if plen > uint32(r.remaining()) || plen < 19 || plen > 8+maxNameLen+13 {
+		payload := r.Take(int(plen))
+		if payload == nil || crc32.ChecksumIEEE(payload) != sum {
 			return epoch, deltas, true, nil
 		}
-		payload := data[r.off : r.off+int(plen)]
-		r.off += int(plen)
-		if crc32.ChecksumIEEE(payload) != sum {
-			return epoch, deltas, true, nil
-		}
-		pr := reader{buf: payload}
+		pr := wire.NewReader(payload)
 		d := Delta{
-			Kind:  pr.u8(),
-			At:    clock.Time(pr.u64()),
-			Inc:   pr.u64(),
-			Phase: pr.u8(),
-			Peer:  pr.str(),
+			Kind:  pr.U8(),
+			At:    clock.Time(pr.U64()),
+			Inc:   pr.U64(),
+			Phase: pr.U8(),
+			Peer:  pr.Str(),
 		}
-		if pr.err != nil || pr.off != len(payload) ||
+		if pr.Done() != nil ||
 			d.Kind < DeltaPhase || d.Kind > DeltaEvict || d.Phase > PhaseOffline {
 			return epoch, deltas, true, nil
 		}
@@ -372,7 +363,7 @@ func DecodeJournal(data []byte) (epoch uint64, deltas []Delta, truncated bool, e
 
 func appendHeader(b []byte, kind uint8) []byte {
 	b = append(b, magic[:]...)
-	b = binary.BigEndian.AppendUint16(b, version)
+	b = wire.AppendU16(b, version)
 	return append(b, kind, 0)
 }
 
@@ -392,84 +383,9 @@ func checkHeader(data []byte, kind uint8) error {
 	return nil
 }
 
-func appendStr(b []byte, s string) []byte {
-	if len(s) > maxNameLen {
-		s = s[:maxNameLen]
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
 func boolByte(v bool) byte {
 	if v {
 		return 1
 	}
 	return 0
-}
-
-// reader is a bounds-checked big-endian cursor: after any short read it
-// latches err and every subsequent read returns zero, so decode paths
-// can batch field reads and check err once.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || r.remaining() < n {
-		if r.err == nil {
-			r.err = ErrCorrupt
-		}
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) str() string {
-	n := int(binary.BigEndian.Uint16(orZero2(r.take(2))))
-	if n > maxNameLen {
-		r.err = fmt.Errorf("%w: name length %d exceeds %d", ErrCorrupt, n, maxNameLen)
-		return ""
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func orZero2(b []byte) []byte {
-	if b == nil {
-		return []byte{0, 0}
-	}
-	return b
 }
