@@ -64,7 +64,8 @@ func main() {
 		case "fixed":
 			return detector.NewFixed(d, *ws)
 		case "sfd":
-			return core.New(core.Config{WindowSize: *ws, InitialMargin: d, Targets: targets})
+			// HistoryCap: keep every slot, so "adjustments" below counts them all.
+			return core.New(core.Config{WindowSize: *ws, InitialMargin: d, Targets: targets, HistoryCap: len(tr.Records)})
 		default:
 			fatal(fmt.Errorf("unknown detector %q", *fd))
 			return nil

@@ -28,6 +28,7 @@ func main() {
 		InitialMargin:  3 * time.Second, // absurdly conservative SM₁
 		SlotHeartbeats: 500,
 		Targets:        targets,
+		HistoryCap:     gp.Count, // keep every slot: the trajectory below samples them all
 	})
 	res := sfd.Replay(tr.Stream(), det)
 

@@ -76,6 +76,7 @@ func runAblationSlot(cfg Config, w io.Writer) error {
 			InitialMargin:  3 * clock.Second,
 			SlotHeartbeats: slot,
 			Targets:        DefaultTargets(),
+			HistoryCap:     len(tr.Records), // keep every slot: slotsToStable reads them all
 		})
 		r := qos.Replay(tr.Stream(), det)
 		fmt.Fprintf(w, "%-8d %14v %12v %16d %10.4f\n",
@@ -104,6 +105,7 @@ func runAblationStep(cfg Config, w io.Writer) error {
 				SlotHeartbeats: 200,
 				Targets:        DefaultTargets(),
 				AdaptiveStep:   adaptive,
+				HistoryCap:     len(tr.Records), // keep every slot: both columns read them all
 			})
 			qos.Replay(tr.Stream(), det)
 			fmt.Fprintf(w, "%-12.0f %-9v %14v %12v %16d %12d\n",

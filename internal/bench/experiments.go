@@ -189,6 +189,7 @@ func runSelfTune(cfg Config, w io.Writer) error {
 		Alpha:         100 * clock.Millisecond, Beta: 0.5,
 		SlotHeartbeats: 500,
 		Targets:        targets,
+		HistoryCap:     len(tr.Records), // keep every slot: the trajectory below samples them all
 	})
 	res := qos.Replay(tr.Stream(), sfd)
 	fmt.Fprintf(w, "feasible request %v, SM1=3s\n", targets)

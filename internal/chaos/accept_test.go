@@ -92,6 +92,7 @@ func TestAcceptLossBurstMarginReconverges(t *testing.T) {
 		},
 		FillGaps:   true,
 		MaxGapFill: 8,
+		HistoryCap: 64, // 30 s at 100 Hz is 60 slots, and the test reads them all
 	}
 	reg := registry.New(sim,
 		func(string) detector.Detector { return core.New(cfg) },

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/clock"
@@ -15,8 +16,80 @@ func TestSFDHistoryCapHonored(t *testing.T) {
 		Targets: Targets{MaxTD: clock.Second, MaxMR: 10, MinQAP: 0.5},
 	})
 	feedSFD(s, 5000, 100*msC, 2*msC, 0, 41)
-	if len(s.History()) > 5 {
-		t.Fatalf("history grew past cap: %d", len(s.History()))
+	checkKeepsLast(t, s.History(), 5, 5000/20)
+	if last, _ := s.LastAdjustment(); last.Slot != 5000/20 {
+		t.Fatalf("LastAdjustment().Slot = %d, want %d", last.Slot, 5000/20)
+	}
+}
+
+// checkKeepsLast asserts that hist holds exactly the n slots ending at
+// slot last, oldest first.
+func checkKeepsLast(t *testing.T, hist []Adjustment, n, last int) {
+	t.Helper()
+	if len(hist) != n {
+		t.Fatalf("history holds %d entries, want %d", len(hist), n)
+	}
+	for i, a := range hist {
+		if want := last - n + 1 + i; a.Slot != want {
+			t.Fatalf("history[%d].Slot = %d, want %d (keep-last, oldest first)", i, a.Slot, want)
+		}
+	}
+}
+
+// TestSFDAdjustmentLogKeepsAdvancing runs detectors through 10 000 slots:
+// the adjustment log must keep its newest 16 entries (so LastAdjustment,
+// which the per-stream gauges and federation digests read, reaches the
+// final slot) and a detector must cost the same heap at slot 10 000 as at
+// slot 100.
+func TestSFDAdjustmentLogKeepsAdvancing(t *testing.T) {
+	const (
+		detectors = 64
+		slotHB    = 5
+		slots     = 10_000
+	)
+	cfg := Config{
+		WindowSize: 10, Interval: 100 * msC, InitialMargin: 50 * msC,
+		SlotHeartbeats: slotHB,
+		Targets:        Targets{MaxTD: clock.Second, MaxMR: 10, MinQAP: 0.5},
+	}
+	dets := make([]*SFD, detectors)
+	for i := range dets {
+		dets[i] = New(cfg)
+	}
+	var seq uint64
+	runTo := func(slot int) {
+		for ; seq < uint64(slot*slotHB); seq++ {
+			send := clock.Time(seq) * clock.Time(100*msC)
+			for _, s := range dets {
+				s.Observe(seq, send, send.Add(2*msC))
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	runTo(100)
+	at100 := heap()
+	runTo(slots)
+	at10k := heap()
+	runtime.KeepAlive(dets)
+
+	for _, s := range dets {
+		if last, ok := s.LastAdjustment(); !ok || last.Slot != slots {
+			t.Fatalf("LastAdjustment().Slot = %d (ok %v), want %d", last.Slot, ok, slots)
+		}
+		checkKeepsLast(t, s.History(), defaultHistoryCap, slots)
+	}
+	// The log stopped growing at its cap long before slot 100, so the heap
+	// is the same up to the runtime's own few kilobytes (the race runtime
+	// allocates some lazily); the keep-first log grew 56 B per slot.
+	if grew := int64(at10k) - int64(at100); grew > detectors*256 {
+		t.Fatalf("heap grew %d B per detector between slot 100 and slot %d", grew/detectors, slots)
 	}
 }
 
@@ -97,6 +170,21 @@ func TestSelfTunerInfeasibleHalts(t *testing.T) {
 	if st.State() != StateInfeasible {
 		t.Fatalf("state = %v, want infeasible", st.State())
 	}
+}
+
+// TestSelfTunerHistoryKeepsLast: the generic tuner shares SFD's keep-last
+// log, so its newest entry is the last slot it evaluated.
+func TestSelfTunerHistoryKeepsLast(t *testing.T) {
+	st := NewSelfTuner(newFixedForTest(), TunerOptions{
+		SlotHeartbeats: 10,
+		Targets:        Targets{MaxTD: 2 * clock.Second, MaxMR: 10, MinQAP: 0.5},
+	})
+	var send clock.Time
+	for i := 0; i < 1000; i++ {
+		st.Observe(uint64(i), send, send.Add(2*msC))
+		send = send.Add(100 * msC)
+	}
+	checkKeepsLast(t, st.History(), defaultHistoryCap, 1000/10)
 }
 
 func newFixedForTest() *fixedShim { return &fixedShim{timeout: clock.Second} }

@@ -44,6 +44,7 @@ func restartTraceConfig() Config {
 		Targets:        Targets{MaxTD: 500 * clock.Millisecond, MaxMR: 0.5, MinQAP: 0.9},
 		FillGaps:       true,
 		MaxGapFill:     8,
+		HistoryCap:     40, // every slot of restartTrace's 2000 arrivals
 	}
 }
 

@@ -60,7 +60,7 @@ type SelfTuner struct {
 	slotIndex int
 	slotCount int
 	state     State
-	history   []Adjustment
+	history   adjustLog
 }
 
 // TunerOptions configures a SelfTuner.
@@ -147,11 +147,9 @@ func (st *SelfTuner) closeSlot(now clock.Time) {
 	default:
 		st.state = StateTuning
 	}
-	if len(st.history) < 4096 {
-		st.history = append(st.history, Adjustment{
-			Slot: st.slotIndex, At: now, Measured: measured, Verdict: v, Margin: p,
-		})
-	}
+	st.history.add(Adjustment{
+		Slot: st.slotIndex, At: now, Measured: measured, Verdict: v, Margin: p,
+	}, defaultHistoryCap)
 }
 
 // FreshnessPoint implements detector.Detector.
@@ -174,11 +172,11 @@ func (st *SelfTuner) Reset() {
 	st.slot = slotEvaluator{}
 	st.slotIndex, st.slotCount = 0, 0
 	st.state = StateWarmup
-	st.history = nil
+	st.history = adjustLog{}
 }
 
 // State returns the tuning state.
 func (st *SelfTuner) State() State { return st.state }
 
-// History returns the adjustment log.
-func (st *SelfTuner) History() []Adjustment { return st.history }
+// History returns the last 16 evaluated slots, oldest first.
+func (st *SelfTuner) History() []Adjustment { return st.history.entries() }

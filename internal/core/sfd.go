@@ -92,7 +92,11 @@ type Config struct {
 	// the gap quickly; shrinking on overshoot kills the oscillation the
 	// step-size ablation exhibits.
 	AdaptiveStep bool
-	// HistoryCap bounds the retained adjustment history (0 = 4096).
+	// HistoryCap is how many of the most recent slot evaluations History
+	// keeps (0 = 16). The log grows by append up to the cap, then
+	// overwrites its oldest entry, so a long-lived stream costs a bounded
+	// amount and LastAdjustment keeps advancing. Offline experiments that
+	// print a whole trajectory set it to the slot count they replay.
 	HistoryCap int
 }
 
@@ -121,11 +125,50 @@ type Adjustment struct {
 	Margin   clock.Duration
 }
 
+// defaultHistoryCap is the HistoryCap default: enough slots for an
+// operator to see the recent trajectory, a bounded cost per stream.
+const defaultHistoryCap = 16
+
+// adjustLog is a keep-last ring of slot evaluations. It grows by append
+// up to its cap — one or two entries cost what a plain slice would — and
+// then overwrites the oldest entry.
+type adjustLog struct {
+	buf  []Adjustment
+	next int // once full: the slot of the oldest entry, overwritten next
+}
+
+func (l *adjustLog) add(a Adjustment, capacity int) {
+	if len(l.buf) < capacity {
+		l.buf = append(l.buf, a)
+		return
+	}
+	l.buf[l.next] = a
+	l.next = (l.next + 1) % len(l.buf)
+}
+
+// last returns the newest entry.
+func (l *adjustLog) last() (Adjustment, bool) {
+	if len(l.buf) == 0 {
+		return Adjustment{}, false
+	}
+	return l.buf[(l.next+len(l.buf)-1)%len(l.buf)], true
+}
+
+// entries returns the log oldest first. Before the ring wraps that is the
+// buffer itself; after, a copy.
+func (l *adjustLog) entries() []Adjustment {
+	if l.next == 0 {
+		return l.buf
+	}
+	out := make([]Adjustment, 0, len(l.buf))
+	return append(append(out, l.buf[l.next:]...), l.buf[:l.next]...)
+}
+
 // SFD is the Self-tuning Failure Detector (§IV-B). It implements
 // detector.Detector and detector.Accrual.
 type SFD struct {
 	cfg Config
-	est *detector.ArrivalEstimator
+	est detector.ArrivalEstimator
 
 	margin clock.Duration
 	fp     clock.Time
@@ -139,12 +182,12 @@ type SFD struct {
 	lastSeq   uint64
 	lastSend  clock.Time
 	lastDelay clock.Duration
+	gapAvg    stats.EWMA // n_ag: average observed adjacent-gap length
 	haveSeq   bool
-	gapAvg    *stats.EWMA // n_ag: average observed adjacent-gap length
 
 	// Adaptive-step state (Config.AdaptiveStep).
+	lastDir   int8    // sign of the previous nonzero adjustment
 	stepScale float64 // multiplier on β·α, in [1/16, 1]
-	lastDir   int     // sign of the previous nonzero adjustment
 
 	// Rewarm state (warm restart; see Rewarm). While rewarmLeft > 0 the
 	// margin is frozen: the post-restore slots measure QoS over a window
@@ -156,7 +199,7 @@ type SFD struct {
 	// inflate every subsequent gap fill.
 	rewarmGapSkip bool
 
-	history []Adjustment
+	history adjustLog
 }
 
 // New returns an SFD with the given configuration; zero fields take the
@@ -182,7 +225,7 @@ func New(cfg Config) *SFD {
 		cfg.MaxGapFill = def.MaxGapFill
 	}
 	if cfg.HistoryCap <= 0 {
-		cfg.HistoryCap = 4096
+		cfg.HistoryCap = defaultHistoryCap
 	}
 	if cfg.InitialMargin < cfg.MinMargin {
 		cfg.InitialMargin = cfg.MinMargin
@@ -194,7 +237,7 @@ func New(cfg Config) *SFD {
 		cfg:       cfg,
 		est:       detector.NewArrivalEstimator(cfg.WindowSize, cfg.Interval),
 		margin:    cfg.InitialMargin,
-		gapAvg:    stats.NewEWMA(0.1),
+		gapAvg:    *stats.NewEWMA(0.1),
 		stepScale: 1,
 	}
 }
@@ -323,7 +366,7 @@ func (s *SFD) closeSlot(now clock.Time) {
 	v := Decide(measured, s.cfg.Targets)
 	sat := Sat(v, s.cfg.Beta)
 	if s.cfg.AdaptiveStep && sat != 0 {
-		dir := 1
+		dir := int8(1)
 		if sat < 0 {
 			dir = -1
 		}
@@ -363,11 +406,9 @@ func (s *SFD) closeSlot(now clock.Time) {
 		s.state = StateTuning
 	}
 
-	if len(s.history) < s.cfg.HistoryCap {
-		s.history = append(s.history, Adjustment{
-			Slot: s.slotIndex, At: now, Measured: measured, Verdict: v, Margin: s.margin,
-		})
-	}
+	s.history.add(Adjustment{
+		Slot: s.slotIndex, At: now, Measured: measured, Verdict: v, Margin: s.margin,
+	}, s.cfg.HistoryCap)
 }
 
 // FreshnessPoint implements detector.Detector.
@@ -417,10 +458,10 @@ func (s *SFD) Reset() {
 	s.slot = slotEvaluator{}
 	s.slotIndex, s.slotCount = 0, 0
 	s.lastSeq, s.lastSend, s.lastDelay, s.haveSeq = 0, 0, 0, false
-	s.gapAvg = stats.NewEWMA(0.1)
+	s.gapAvg = *stats.NewEWMA(0.1)
 	s.stepScale, s.lastDir = 1, 0
 	s.rewarmLeft, s.rewarmGapSkip = 0, false
-	s.history = nil
+	s.history = adjustLog{}
 }
 
 // Margin returns the current dynamic safety margin SM.
@@ -455,17 +496,12 @@ func (s *SFD) Response() string {
 	}
 }
 
-// History returns the adjustment log (one entry per evaluated slot).
-func (s *SFD) History() []Adjustment { return s.history }
+// History returns the last HistoryCap evaluated slots, oldest first.
+func (s *SFD) History() []Adjustment { return s.history.entries() }
 
 // LastAdjustment returns the most recent slot evaluation, if any — the
 // measured QoS and verdict the metrics layer exposes per stream.
-func (s *SFD) LastAdjustment() (Adjustment, bool) {
-	if len(s.history) == 0 {
-		return Adjustment{}, false
-	}
-	return s.history[len(s.history)-1], true
-}
+func (s *SFD) LastAdjustment() (Adjustment, bool) { return s.history.last() }
 
 // Config returns the effective configuration after defaulting.
 func (s *SFD) Config() Config { return s.cfg }

@@ -21,7 +21,6 @@ type slotEvaluator struct {
 	mistakeDur clock.Duration
 	start      clock.Time
 	started    bool
-	arrivals   int
 }
 
 // begin opens a new slot at instant t.

@@ -54,7 +54,7 @@ func (s *SFD) ExportState() SFDState {
 		GapAvg:    s.gapAvg.Value(),
 		GapAvgOK:  s.gapAvg.Initialized(),
 		StepScale: s.stepScale,
-		LastDir:   int8(s.lastDir),
+		LastDir:   s.lastDir,
 		Window:    s.est.Export(nil),
 	}
 }
@@ -104,7 +104,7 @@ func (s *SFD) ImportState(st SFDState) error {
 	if st.StepScale != 0 {
 		s.stepScale = st.StepScale
 	}
-	s.lastDir = int(st.LastDir)
+	s.lastDir = st.LastDir
 	return nil
 }
 

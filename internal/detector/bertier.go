@@ -35,7 +35,7 @@ func DefaultBertierParams() BertierParams {
 // (aggressive) point to the paper's QoS figures.
 type Bertier struct {
 	params BertierParams
-	est    *ArrivalEstimator
+	est    ArrivalEstimator
 
 	delay float64 // smoothed estimation error (ns)
 	vr    float64 // smoothed error magnitude (ns)

@@ -11,7 +11,7 @@ import (
 // constant safety margin α. The paper sweeps α ∈ [0, 10000] (ms) to trace
 // the detector's QoS curve.
 type Chen struct {
-	est   *ArrivalEstimator
+	est   ArrivalEstimator
 	alpha clock.Duration
 	fp    clock.Time
 }
@@ -65,7 +65,7 @@ func (c *Chen) SetAlpha(alpha clock.Duration) {
 }
 
 // Estimator exposes the arrival estimator (shared with SFD).
-func (c *Chen) Estimator() *ArrivalEstimator { return c.est }
+func (c *Chen) Estimator() *ArrivalEstimator { return &c.est }
 
 // Reset implements Detector.
 func (c *Chen) Reset() {

@@ -63,43 +63,27 @@ type Accrual interface {
 // estimator follows §IV-C of the paper and uses the average inter-arrival
 // time observed in the window.
 //
-// Sums are carried in int64/int128-free form: Σ A_i and Σ i stay within
-// int64 for window sizes up to ~9000 on month-long runs.
+// The window is a packed window.Arrivals held inline, and Σ A_i and Σ i
+// are its exact int64 sums: they stay within int64 for window sizes up to
+// ~9000 on month-long runs. A detector holds its estimator by value.
 type ArrivalEstimator struct {
 	interval clock.Duration // configured Δt; 0 ⇒ estimate from window
-	win      *window.Ring[arrival]
-	sumRecv  int64 // Σ A_i (ns)
-	sumSeq   int64 // Σ i
-	lastSeq  uint64
-	lastRecv clock.Time
-	have     bool
-}
-
-type arrival struct {
-	seq  uint64
-	recv clock.Time
+	win      window.Arrivals
 }
 
 // NewArrivalEstimator returns an estimator over a window of ws received
 // heartbeats. interval is the known sending interval Δt, or 0 to estimate
 // it from the window.
-func NewArrivalEstimator(ws int, interval clock.Duration) *ArrivalEstimator {
+func NewArrivalEstimator(ws int, interval clock.Duration) ArrivalEstimator {
 	if ws <= 0 {
 		ws = DefaultWindowSize
 	}
-	return &ArrivalEstimator{interval: interval, win: window.NewRing[arrival](ws)}
+	return ArrivalEstimator{interval: interval, win: window.NewArrivals(ws)}
 }
 
 // Observe records an arrival.
 func (e *ArrivalEstimator) Observe(seq uint64, recv clock.Time) {
-	old, evicted := e.win.Push(arrival{seq: seq, recv: recv})
-	if evicted {
-		e.sumRecv -= int64(old.recv)
-		e.sumSeq -= int64(old.seq)
-	}
-	e.sumRecv += int64(recv)
-	e.sumSeq += int64(seq)
-	e.lastSeq, e.lastRecv, e.have = seq, recv, true
+	e.win.Push(ArrivalSample{Seq: seq, Recv: recv})
 }
 
 // Interval returns the Δt in effect: the configured one, or the window
@@ -109,59 +93,55 @@ func (e *ArrivalEstimator) Interval() clock.Duration {
 	if e.interval > 0 {
 		return e.interval
 	}
-	n := e.win.Len()
-	if n < 2 {
+	if e.win.Len() < 2 {
 		return 0
 	}
 	oldest, _ := e.win.Oldest()
 	newest, _ := e.win.Newest()
-	seqSpan := newest.seq - oldest.seq
+	seqSpan := newest.Seq - oldest.Seq
 	if seqSpan == 0 {
 		return 0
 	}
-	return newest.recv.Sub(oldest.recv) / clock.Duration(seqSpan)
+	return newest.Recv.Sub(oldest.Recv) / clock.Duration(seqSpan)
 }
 
 // Expected returns EA_{k+1}: the estimated arrival time of the next
 // heartbeat (sequence lastSeq+1). ok is false until at least one arrival
 // (and, with estimated Δt, two) has been observed.
 func (e *ArrivalEstimator) Expected() (clock.Time, bool) {
-	n := e.win.Len()
-	if !e.have || n == 0 {
+	last, ok := e.win.Newest()
+	if !ok {
 		return 0, false
 	}
 	dt := e.Interval()
 	if dt <= 0 {
 		return 0, false
 	}
+	n := e.win.Len()
+	sumSeq, sumRecv := e.win.Sums()
 	// (1/n)·Σ(A_i − Δt·i) + (k+1)·Δt
-	meanShift := float64(e.sumRecv)/float64(n) - float64(dt)*float64(e.sumSeq)/float64(n)
-	ea := meanShift + float64(dt)*float64(e.lastSeq+1)
+	meanShift := float64(sumRecv)/float64(n) - float64(dt)*float64(sumSeq)/float64(n)
+	ea := meanShift + float64(dt)*float64(last.Seq+1)
 	return clock.Time(ea), true
 }
 
 // Last returns the sequence number and arrival time of the most recent
 // heartbeat.
 func (e *ArrivalEstimator) Last() (seq uint64, recv clock.Time, ok bool) {
-	return e.lastSeq, e.lastRecv, e.have
+	last, ok := e.win.Newest()
+	return last.Seq, last.Recv, ok
 }
 
 // ArrivalSample is one (sequence, arrival) pair of the estimation window
 // in exportable form — the unit of detector state persistence.
-type ArrivalSample struct {
-	Seq  uint64
-	Recv clock.Time
-}
+type ArrivalSample = window.ArrivalSample
 
 // Export copies the estimation window, oldest first, appending to dst
 // (which may be nil). Together with Import it lets a warm-restarting
 // monitor carry a stream's learned arrival distribution across process
 // lives instead of re-entering warmup.
 func (e *ArrivalEstimator) Export(dst []ArrivalSample) []ArrivalSample {
-	e.win.Do(func(a arrival) {
-		dst = append(dst, ArrivalSample{Seq: a.seq, Recv: a.recv})
-	})
-	return dst
+	return e.win.Export(dst)
 }
 
 // Import resets the estimator and replays the samples (which must be in
@@ -185,8 +165,4 @@ func (e *ArrivalEstimator) Full() bool { return e.win.Full() }
 func (e *ArrivalEstimator) Len() int { return e.win.Len() }
 
 // Reset clears all state.
-func (e *ArrivalEstimator) Reset() {
-	e.win.Reset()
-	e.sumRecv, e.sumSeq = 0, 0
-	e.lastSeq, e.lastRecv, e.have = 0, 0, false
-}
+func (e *ArrivalEstimator) Reset() { e.win.Reset() }

@@ -1,6 +1,7 @@
 // Package window provides fixed-capacity sliding windows: a generic ring
-// buffer and an arrival-sample window that maintains running sums so the
-// detectors can compute window statistics in O(1) per heartbeat.
+// buffer, a float64 sample window, and a packed (sequence, arrival)
+// window; the latter two maintain running sums so the detectors can
+// compute window statistics in O(1) per heartbeat.
 //
 // All four detectors in the paper maintain "a sliding window [with] the
 // most recent samples of the arrival time" (§IV); the experiments fix the
