@@ -213,6 +213,13 @@ var registryFleetSizesPersist = registryFleetSizes[:3]
 // Registry.Observe at fleet scale: hash → shard lock → detector update →
 // deadline write. The lazy timer-wheel design keeps the hot path free of
 // wheel operations, so this must stay sub-microsecond at 10k streams.
+//
+// The fleet sizes run a fixed-timeout detector, which has no window. The
+// sfd-1k case runs the paper's SFD in the benchmark's steady shape
+// (window 100, slot 50, 1 s on-time heartbeats) after 1 000 warm-up
+// arrivals per stream, so windows are full, slots close and the
+// adjustment log has reached its cap: the window's narrow words, the
+// feedback loop and the log must not allocate either.
 func BenchmarkRegistryIngest(b *testing.B) {
 	for _, size := range registryFleetSizes {
 		b.Run(size.name, func(b *testing.B) {
@@ -236,6 +243,39 @@ func BenchmarkRegistryIngest(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sfd-1k", func(b *testing.B) {
+		const (
+			streams  = 1_000
+			warmup   = 1_000
+			interval = clock.Second
+		)
+		cfg := sfd.DefaultConfig()
+		cfg.WindowSize, cfg.SlotHeartbeats = 100, 50
+		cfg.Interval, cfg.InitialMargin = interval, 250*clock.Millisecond
+		cfg.Targets = sfd.Targets{MaxTD: 2 * interval, MaxMR: 0.05, MinQAP: 0.99}
+		reg := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
+			return sfd.NewSFD(cfg)
+		}, sfd.RegistryOptions{Shards: 64})
+		peers := make([]string, streams)
+		seqs := make([]uint64, streams)
+		// Stream p beats at seq·interval + p µs: every delta is on time.
+		observe := func(p int) {
+			at := clock.Time(seqs[p])*clock.Time(interval) + clock.Time(p)*clock.Time(clock.Microsecond)
+			reg.Observe(sfd.HeartbeatArrival{From: peers[p], Seq: seqs[p], Send: at, Recv: at})
+			seqs[p]++
+		}
+		for p := range peers {
+			peers[p] = fmt.Sprintf("srv-%06d", p)
+			for j := 0; j < warmup; j++ {
+				observe(p)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			observe(i % streams)
+		}
+	})
 }
 
 // BenchmarkRegistryIngestPersist is BenchmarkRegistryIngest with

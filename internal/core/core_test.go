@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +166,67 @@ func TestSFDDefaults(t *testing.T) {
 	}
 	if s.Response() == "" {
 		t.Fatal("empty response")
+	}
+}
+
+// TestSFDSharesConfig: SFDs of one effective configuration share one
+// Config; a different configuration gets its own; Config returns a copy;
+// and a sweep of more configurations than the table holds still hands
+// every SFD exactly what it asked for.
+func TestSFDSharesConfig(t *testing.T) {
+	cfg := Config{WindowSize: 100, Interval: clock.Second, InitialMargin: 250 * msC}
+	a, b := New(cfg), New(cfg)
+	if a.cfg != b.cfg {
+		t.Fatal("equal configurations not shared")
+	}
+	if c := New(Config{WindowSize: 101}); c.cfg == a.cfg {
+		t.Fatal("different configurations shared")
+	}
+	got := a.Config()
+	got.Alpha = 3600 * clock.Second
+	if a.Config().Alpha == got.Alpha || b.Config() != a.Config() {
+		t.Fatal("Config does not return a copy")
+	}
+
+	var sweep []*SFD
+	for i := 1; i <= 3*len(configs.tab); i++ {
+		sweep = append(sweep, New(Config{WindowSize: i}), New(cfg))
+	}
+	for i, s := range sweep {
+		want := cfg.WindowSize
+		if i%2 == 0 {
+			want = i/2 + 1
+		}
+		if s.Config().WindowSize != want {
+			t.Fatalf("sweep entry %d: window %d, want %d", i, s.Config().WindowSize, want)
+		}
+	}
+}
+
+// TestSFDSharesConfigConcurrently: registries build detectors from many
+// shard goroutines at once, so New's shared table is reached concurrently.
+// Every SFD still gets the configuration it asked for.
+func TestSFDSharesConfigConcurrently(t *testing.T) {
+	const workers, each = 8, 200
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ws := 1 + (w*each+i)%12 // more classes than the table holds
+				if got := New(Config{WindowSize: ws}).Config().WindowSize; got != ws {
+					errs <- fmt.Sprintf("worker %d: window %d, want %d", w, got, ws)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

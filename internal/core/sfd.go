@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/detector"
@@ -167,7 +168,7 @@ func (l *adjustLog) entries() []Adjustment {
 // SFD is the Self-tuning Failure Detector (§IV-B). It implements
 // detector.Detector and detector.Accrual.
 type SFD struct {
-	cfg Config
+	cfg *Config // shared with every SFD of the same configuration; never written
 	est detector.ArrivalEstimator
 
 	margin clock.Duration
@@ -234,12 +235,39 @@ func New(cfg Config) *SFD {
 		cfg.InitialMargin = cfg.MaxMargin
 	}
 	return &SFD{
-		cfg:       cfg,
+		cfg:       internConfig(cfg),
 		est:       detector.NewArrivalEstimator(cfg.WindowSize, cfg.Interval),
 		margin:    cfg.InitialMargin,
 		gapAvg:    *stats.NewEWMA(0.1),
 		stepScale: 1,
 	}
+}
+
+// configs is the small table New shares effective configurations from,
+// so the streams of one class hold one Config between them instead of a
+// copy each. It is bounded and replaced round-robin: a process that makes
+// many distinct configurations (sweeps, ablations) costs a copy per miss,
+// never a table that grows. Sharing is invisible to callers: only equal
+// values are shared, and no SFD writes its Config after New.
+var configs struct {
+	mu   sync.Mutex
+	tab  [8]*Config
+	next int
+}
+
+// internConfig returns the table's copy of cfg, adding one if it has none.
+func internConfig(cfg Config) *Config {
+	configs.mu.Lock()
+	defer configs.mu.Unlock()
+	for _, c := range configs.tab {
+		if c != nil && *c == cfg {
+			return c
+		}
+	}
+	c := &cfg
+	configs.tab[configs.next] = c
+	configs.next = (configs.next + 1) % len(configs.tab)
+	return c
 }
 
 // Observe implements detector.Detector. send is the sender's timestamp
@@ -504,4 +532,4 @@ func (s *SFD) History() []Adjustment { return s.history.entries() }
 func (s *SFD) LastAdjustment() (Adjustment, bool) { return s.history.last() }
 
 // Config returns the effective configuration after defaulting.
-func (s *SFD) Config() Config { return s.cfg }
+func (s *SFD) Config() Config { return *s.cfg }

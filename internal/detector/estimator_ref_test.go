@@ -76,6 +76,12 @@ func (e *refEstimator) Expected() (clock.Time, bool) {
 // the reference over every paper trace preset, at the paper's window and
 // the benchmark's, with Δt configured and estimated, and requires EA and
 // Δt to agree bit for bit after every arrival.
+//
+// Each preset runs twice. "as recorded" feeds the received heartbeats.
+// "forced upgrade" feeds the first half on the preset's nominal schedule
+// (every sequence number exactly Δt apart, so the window holds narrow
+// words), then one heartbeat a second late, which no narrow word holds,
+// then the rest as recorded.
 func TestEstimatorBitIdenticalOnPresets(t *testing.T) {
 	for _, name := range trace.PresetNames() {
 		gp, err := trace.Preset(name)
@@ -83,20 +89,34 @@ func TestEstimatorBitIdenticalOnPresets(t *testing.T) {
 			t.Fatal(err)
 		}
 		recs := trace.Collect(gp.Meta, trace.NewGenerator(gp)).Records
-		for _, ws := range []int{DefaultWindowSize, 100} {
-			for _, iv := range []clock.Duration{0, gp.Meta.Interval} {
-				got, ref := NewArrivalEstimator(ws, iv), newRefEstimator(ws, iv)
-				for i, r := range recs {
-					if r.Lost {
-						continue
-					}
-					got.Observe(r.Seq, r.RecvTime)
-					ref.Observe(r.Seq, r.RecvTime)
-					ea, ok := got.Expected()
-					rea, rok := ref.Expected()
-					if ea != rea || ok != rok || got.Interval() != ref.Interval() || got.Full() != ref.win.Full() {
-						t.Fatalf("%s ws=%d Δt=%v record %d: EA %d/%v Δt %v, reference EA %d/%v Δt %v",
-							name, ws, iv, i, ea, ok, got.Interval(), rea, rok, ref.Interval())
+		half := len(recs) / 2
+		nominal := func(seq uint64) clock.Time {
+			return recs[0].SendTime.Add(clock.Duration(seq) * gp.Meta.Interval)
+		}
+		for _, mode := range []string{"as recorded", "forced upgrade"} {
+			for _, ws := range []int{DefaultWindowSize, 100} {
+				for _, iv := range []clock.Duration{0, gp.Meta.Interval} {
+					got, ref := NewArrivalEstimator(ws, iv), newRefEstimator(ws, iv)
+					for i, r := range recs {
+						recv := r.RecvTime
+						switch {
+						case mode == "as recorded" || i > half:
+							if r.Lost {
+								continue
+							}
+						case i < half:
+							recv = nominal(r.Seq)
+						default:
+							recv = nominal(r.Seq).Add(clock.Second)
+						}
+						got.Observe(r.Seq, recv)
+						ref.Observe(r.Seq, recv)
+						ea, ok := got.Expected()
+						rea, rok := ref.Expected()
+						if ea != rea || ok != rok || got.Interval() != ref.Interval() || got.Full() != ref.win.Full() {
+							t.Fatalf("%s %s ws=%d Δt=%v record %d: EA %d/%v Δt %v, reference EA %d/%v Δt %v",
+								name, mode, ws, iv, i, ea, ok, got.Interval(), rea, rok, ref.Interval())
+						}
 					}
 				}
 			}

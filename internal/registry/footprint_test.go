@@ -11,17 +11,25 @@ import (
 	"repro/internal/heartbeat"
 )
 
-// TestStreamFootprint is the memory gate per monitored stream: 10 000
-// streams shaped like the benchmark's steady workload (SFD with window
-// 100 and slot 50 on a 1 s stream, 151–200 back-dated arrivals each, so
-// every window is full and a few slots have closed) must cost at most
-// 2 KiB of heap each — detector, registry entry, wheel entry and name.
+// TestStreamFootprint is the memory gate per monitored stream, shaped
+// like the benchmark's steady workload: SFD with window 100 and slot 50 on
+// a 1 s stream, every arrival back-dated and on time. It measures heap per
+// stream — detector, registry entry, wheel entry and name — in two shapes:
+//   - "12 s run": 151–200 arrivals each, so every window is full and a few
+//     slots have closed, as at the end of a benchmark run;
+//   - "long-lived": 1 000 arrivals each, 20 closed slots, so the 16-entry
+//     adjustment log is full, as on a monitor that has run for a while.
 func TestStreamFootprint(t *testing.T) {
-	const (
-		streams  = 10_000
-		interval = clock.Second
-		budget   = 2048 // bytes per stream
-	)
+	const interval = clock.Second
+	cases := []struct {
+		name     string
+		streams  int
+		arrivals func(i int) int
+		budget   float64 // bytes per stream
+	}{
+		{"12 s run", 10_000, func(i int) int { return 100 + 50 + 1 + i%50 }, 1200},
+		{"long-lived", 2_000, func(int) int { return 1000 }, 2000},
+	}
 	cfg := core.DefaultConfig()
 	cfg.WindowSize, cfg.SlotHeartbeats = 100, 50
 	cfg.Interval, cfg.InitialMargin = interval, 250*ms
@@ -36,26 +44,28 @@ func TestStreamFootprint(t *testing.T) {
 	}
 
 	epoch := clock.Time(3600 * clock.Second)
-	r := New(clock.NewSim(epoch), func(string) detector.Detector { return core.New(cfg) },
-		Options{MetricsMaxStreams: -1})
-	before := heap()
-	for i := 0; i < streams; i++ {
-		name := fmt.Sprintf("node-%05d", i)
-		n := 100 + 50 + 1 + i%50
-		for j := 1; j <= n; j++ {
-			at := epoch.Add(-clock.Duration(n-j+1) * interval)
-			r.Observe(heartbeat.Arrival{From: name, Seq: uint64(j), Send: at, Recv: at, Inc: 1})
+	for _, c := range cases {
+		r := New(clock.NewSim(epoch), func(string) detector.Detector { return core.New(cfg) },
+			Options{MetricsMaxStreams: -1})
+		before := heap()
+		for i := 0; i < c.streams; i++ {
+			name := fmt.Sprintf("node-%05d", i)
+			n := c.arrivals(i)
+			for j := 1; j <= n; j++ {
+				at := epoch.Add(-clock.Duration(n-j+1) * interval)
+				r.Observe(heartbeat.Arrival{From: name, Seq: uint64(j), Send: at, Recv: at, Inc: 1})
+			}
 		}
-	}
-	after := heap()
-	if r.Len() != streams {
-		t.Fatalf("registered %d streams, want %d", r.Len(), streams)
-	}
-	runtime.KeepAlive(r)
+		after := heap()
+		if r.Len() != c.streams {
+			t.Fatalf("%s: registered %d streams, want %d", c.name, r.Len(), c.streams)
+		}
+		runtime.KeepAlive(r)
 
-	per := (float64(after) - float64(before)) / streams
-	t.Logf("%.0f B of heap per stream", per)
-	if per > budget {
-		t.Fatalf("%.0f B of heap per stream, budget %d B", per, budget)
+		per := (float64(after) - float64(before)) / float64(c.streams)
+		t.Logf("%s: %.0f B of heap per stream", c.name, per)
+		if per > c.budget {
+			t.Errorf("%s: %.0f B of heap per stream, budget %.0f B", c.name, per, c.budget)
+		}
 	}
 }

@@ -145,12 +145,12 @@ func (r *Registry) importSnapshot(snap *persist.Snapshot, deltas []persist.Delta
 		st.lastArrival = rec.LastArrival
 		st.suspectSince = rec.SuspectSince
 		st.phase = wirePhase(rec.Phase)
-		st.stats = StreamStats{
+		st.setStats(StreamStats{
 			Heartbeats:  rec.Heartbeats,
 			Stale:       rec.Stale,
 			Mistakes:    rec.Mistakes,
 			MistakeTime: rec.MistakeTime,
-		}
+		})
 		if rec.Det != nil {
 			if sp, ok := st.det.(statePorter); ok {
 				if err := sp.ImportState(*rec.Det); err == nil {
@@ -203,6 +203,7 @@ func (r *Registry) ExportSnapshot(now clock.Time) *persist.Snapshot {
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for name, st := range sh.streams {
+			stats := st.stats()
 			rec := persist.StreamRecord{
 				Peer:         name,
 				Inc:          st.inc,
@@ -211,10 +212,10 @@ func (r *Registry) ExportSnapshot(now clock.Time) *persist.Snapshot {
 				LastSeq:      st.lastSeq,
 				LastArrival:  st.lastArrival,
 				SuspectSince: st.suspectSince,
-				Heartbeats:   st.stats.Heartbeats,
-				Stale:        st.stats.Stale,
-				Mistakes:     st.stats.Mistakes,
-				MistakeTime:  st.stats.MistakeTime,
+				Heartbeats:   stats.Heartbeats,
+				Stale:        stats.Stale,
+				Mistakes:     stats.Mistakes,
+				MistakeTime:  stats.MistakeTime,
 			}
 			if sp, ok := st.det.(statePorter); ok {
 				s := sp.ExportState()

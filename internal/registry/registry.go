@@ -460,7 +460,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 		st = r.newStreamLocked(sh, a.From)
 	}
 	if st.seen && (a.Inc < st.inc || (a.Inc == st.inc && a.Seq <= st.lastSeq)) {
-		st.stats.Stale++
+		st.touchCold().stale++
 		sh.mu.Unlock()
 		r.stale.Add(1)
 		return
@@ -474,9 +474,10 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 
 	if st.phase != phaseTrusted {
 		// Recovery: the suspicion (or offline verdict) was a mistake.
-		st.stats.Mistakes++
+		c := st.touchCold()
+		c.mistakes++
 		if a.Recv.After(st.suspectSince) {
-			st.stats.MistakeTime += a.Recv.Sub(st.suspectSince)
+			c.mistakeTime += a.Recv.Sub(st.suspectSince)
 		}
 		st.phase = phaseTrusted
 		evs[nev] = Event{Type: EventTrust, Peer: a.From, At: a.Recv, Incarnation: a.Inc}
@@ -485,7 +486,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 
 	st.det.Observe(a.Seq, a.Send, a.Recv)
 	st.lastSeq, st.lastArrival, st.seen = a.Seq, a.Recv, true
-	st.stats.Heartbeats++
+	st.heartbeats++
 
 	// Surface the self-tuner's "can not satisfy" response as an event,
 	// once per infeasibility episode.
@@ -717,7 +718,7 @@ func (r *Registry) Stats(peer string) (StreamStats, bool) {
 	if st == nil {
 		return StreamStats{}, false
 	}
-	return st.stats, true
+	return st.stats(), true
 }
 
 // Inspect runs fn on a stream's detector under the shard lock; it

@@ -37,15 +37,16 @@ type stream struct {
 
 	lastSeq     uint64
 	lastArrival clock.Time
-	seen        bool
 	// inc is the peer's current incarnation. Sequence numbers restart
 	// within each incarnation; a bump replaces the detector, since the
 	// new life's arrival process shares no history with the old one.
 	inc uint64
 
-	phase        phase
 	suspectSince clock.Time
-	infeasible   bool // EventCannotSatisfy already published this episode
+	// The three small fields share one word.
+	seen       bool
+	phase      phase
+	infeasible bool // EventCannotSatisfy already published this episode
 
 	// deadline is the authoritative next-check instant (freshness point,
 	// silence safety net, offline deadline, or eviction deadline). The
@@ -61,7 +62,43 @@ type stream struct {
 	gen     uint64
 	entryAt clock.Time
 
-	stats StreamStats
+	heartbeats uint64     // StreamStats.Heartbeats, written on every arrival
+	cold       *coldStats // the other counters; nil until one moves
+}
+
+// coldStats are the StreamStats counters most streams never move. They
+// live behind a pointer, allocated on a stream's first stale arrival or
+// mistake, which keeps stream in the 112-byte size class.
+type coldStats struct {
+	stale, mistakes uint64
+	mistakeTime     clock.Duration
+}
+
+// touchCold returns the stream's cold counters, allocating them on first
+// use.
+func (st *stream) touchCold() *coldStats {
+	if st.cold == nil {
+		st.cold = new(coldStats)
+	}
+	return st.cold
+}
+
+// stats assembles the stream's QoS tracker.
+func (st *stream) stats() StreamStats {
+	s := StreamStats{Heartbeats: st.heartbeats}
+	if c := st.cold; c != nil {
+		s.Stale, s.Mistakes, s.MistakeTime = c.stale, c.mistakes, c.mistakeTime
+	}
+	return s
+}
+
+// setStats replaces the stream's QoS tracker; the cold counters are
+// allocated only when one of them is nonzero.
+func (st *stream) setStats(s StreamStats) {
+	st.heartbeats, st.cold = s.Heartbeats, nil
+	if s.Stale != 0 || s.Mistakes != 0 || s.MistakeTime != 0 {
+		st.cold = &coldStats{stale: s.Stale, mistakes: s.Mistakes, mistakeTime: s.MistakeTime}
+	}
 }
 
 // shard is one lock stripe of the registry: a mutex plus the streams

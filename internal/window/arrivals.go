@@ -8,35 +8,64 @@ type ArrivalSample struct {
 	Recv clock.Time
 }
 
-// Bit layout of a packed delta word: the zigzag-encoded sequence delta in
+// Bit layout of a wide delta word: the zigzag-encoded sequence delta in
 // the low seqBits, the zigzag-encoded arrival delta (ns) in the rest.
 const (
 	seqBits  = 16
 	recvBits = 64 - seqBits
 )
 
+// Bit layout of a narrow word: the zigzag of Δseq − 1 in the low
+// narrowSeqBits (Δseq in [−7, 8]), the zigzag of the residual
+// Δrecv − Δseq·step in nanoseconds in the rest (±2²⁷ ns, about ±134 ms).
+const (
+	narrowSeqBits = 4
+	narrowResBits = 32 - narrowSeqBits
+)
+
+// maxStep bounds the learned step so that every narrow fit is a wide fit:
+// |Δseq·step + residual| ≤ 8·2⁴⁰ + 2²⁷ < 2⁴⁷.
+const maxStep = 1 << 40
+
+// wideStep stands in for the step of a window that has been upgraded to
+// wide words. A learned step is never negative.
+const wideStep = -1
+
 // Arrivals is a fixed-capacity FIFO of arrival samples that stores its
 // samples packed and keeps exact running sums of their sequence numbers
 // and arrival times.
 //
-// The oldest and newest samples are held whole. Every other sample is one
-// uint64 word of deltas from the sample before it: the zigzag sequence
-// delta in the low 16 bits and the zigzag arrival delta in nanoseconds in
-// the high 48 (±2⁴⁷ ns, about ±39 h). Eviction rebuilds the new oldest
-// sample by adding its delta; Export walks forward from the oldest. A
-// window of n samples costs n words, half of what (seq, recv) pairs in a
-// ring cost.
+// The oldest and newest samples are held whole. Every other sample is a
+// word of deltas from the sample before it, in one of two encodings:
 //
-// Storage is lossless. A sample whose delta from the newest does not fit
-// (sequence delta outside [−2¹⁵, 2¹⁵), arrival delta outside [−2⁴⁷, 2⁴⁷)
-// ns) restarts the window at that sample, and the sums restart with it.
-// Deltas are taken modulo 2⁶⁴, so any input — including wrapped or
-// decreasing values — either round-trips to the bit or restarts.
+//   - narrow (how a window starts): one uint32 per sample, the zigzag of
+//     Δseq − 1 in the low 4 bits and the zigzag of the residual
+//     Δrecv − Δseq·step in the high 28. The step is learned from the
+//     window's first delta (Δrecv/Δseq, bounded to [0, 2⁴⁰] ns, else 0),
+//     so a heartbeat stream on time costs its jitter, not its interval.
+//   - wide: one uint64 per sample, stored as two uint32 halves, the
+//     zigzag Δseq in the low 16 bits and the zigzag Δrecv in the high 48
+//     (±2⁴⁷ ns, about ±39 h).
+//
+// Eviction rebuilds the new oldest sample by adding its delta; Export
+// walks forward from the oldest.
+//
+// Storage is lossless. A sample that fits a wide word but not a narrow
+// one upgrades the window: every stored sample is re-encoded wide, once,
+// and the window never goes back. A sample whose delta from the newest
+// does not fit a wide word (sequence delta outside [−2¹⁵, 2¹⁵), arrival
+// delta outside [−2⁴⁷, 2⁴⁷) ns) restarts the window at that sample, and
+// the sums restart with it. Deltas are taken modulo 2⁶⁴, so any input —
+// including wrapped or decreasing values — either round-trips to the bit
+// or restarts, and the encoding in use is invisible to every accessor.
 //
 // An Arrivals shares its buffer with its copies; hold it in one place.
 type Arrivals struct {
-	words          []uint64 // words[i]: delta of the sample in slot i from its predecessor
-	head, count    int      // slot of the oldest sample; samples held
+	// words[i] is the narrow word of slot i; once wide, words[2i] and
+	// words[2i+1] are the low and high halves of slot i's wide word.
+	words          []uint32
+	step           int64 // Δrecv per unit Δseq that residuals are taken against; wideStep once upgraded
+	head, count    int   // slot of the oldest sample; samples held
 	oldest, newest ArrivalSample
 	sumSeq         int64 // Σ seq (wrapping)
 	sumRecv        int64 // Σ recv in ns (wrapping)
@@ -48,52 +77,134 @@ func NewArrivals(capacity int) Arrivals {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return Arrivals{words: make([]uint64, capacity)}
+	return Arrivals{words: make([]uint32, capacity)}
 }
 
 // Push appends s, evicting the oldest sample when the window is full. A
-// delta that does not fit in a word restarts the window at s.
+// delta that does not fit a wide word restarts the window at s.
 func (a *Arrivals) Push(s ArrivalSample) {
-	w, ok := pack(a.newest, s)
-	if a.count == 0 || !ok {
-		a.head, a.count = 0, 1
-		a.oldest, a.newest = s, s
-		a.sumSeq, a.sumRecv = int64(s.Seq), int64(s.Recv)
+	if a.count == 0 {
+		a.restart(s)
 		return
 	}
-	if a.count == len(a.words) {
-		old := a.oldest
-		a.sumSeq -= int64(old.Seq)
-		a.sumRecv -= int64(old.Recv)
-		if a.head++; a.head == len(a.words) {
-			a.head = 0
+	if a.step != wideStep {
+		if a.count == 1 {
+			a.step = learnStep(a.newest, s)
 		}
-		a.count--
-		if a.count > 0 {
-			a.oldest = unpack(old, a.words[a.head])
-		} else {
-			a.oldest = s // capacity 1: s replaces the only sample
+		if w, ok := packNarrow(a.newest, s, a.step); ok {
+			n := len(a.words)
+			a.words[a.tail(n)] = w
+			if a.count == n {
+				j := a.second(n)
+				a.evict(unpackNarrow(a.oldest, a.words[j], a.step), j)
+			}
+			a.add(s)
+			return
 		}
 	}
+	w, ok := pack(a.newest, s)
+	if !ok {
+		a.restart(s)
+		return
+	}
+	if a.step != wideStep {
+		a.upgrade()
+	}
+	n := len(a.words) / 2
+	i := a.tail(n)
+	a.words[2*i], a.words[2*i+1] = uint32(w), uint32(w>>32)
+	if a.count == n {
+		j := a.second(n)
+		a.evict(unpack(a.oldest, a.wideWord(j)), j)
+	}
+	a.add(s)
+}
+
+// tail returns the slot the next sample's word goes into in a window of n
+// slots: behind the newest, which is the oldest's slot when full.
+func (a *Arrivals) tail(n int) int {
 	i := a.head + a.count
-	if i >= len(a.words) {
-		i -= len(a.words)
+	if i >= n {
+		i -= n
 	}
-	a.words[i] = w
+	return i
+}
+
+// second returns the slot after the oldest's in a window of n slots. When
+// the window is full, Push has already written the new sample's word to
+// the oldest's slot, so with one slot the second is the new sample.
+func (a *Arrivals) second(n int) int {
+	if a.head+1 == n {
+		return 0
+	}
+	return a.head + 1
+}
+
+// evict drops the oldest sample; next is the sample after it, in slot j.
+func (a *Arrivals) evict(next ArrivalSample, j int) {
+	a.sumSeq -= int64(a.oldest.Seq)
+	a.sumRecv -= int64(a.oldest.Recv)
+	a.oldest, a.head = next, j
+	a.count--
+}
+
+// add makes s, whose word is stored, the newest sample.
+func (a *Arrivals) add(s ArrivalSample) {
 	a.count++
 	a.newest = s
 	a.sumSeq += int64(s.Seq)
 	a.sumRecv += int64(s.Recv)
 }
 
+// restart empties the window and holds s alone.
+func (a *Arrivals) restart(s ArrivalSample) {
+	a.head, a.count = 0, 1
+	a.oldest, a.newest = s, s
+	a.sumSeq, a.sumRecv = int64(s.Seq), int64(s.Recv)
+}
+
+// upgrade re-encodes every stored sample as a wide word in a new buffer,
+// slot for slot. Nothing is lost: a narrow fit is a wide fit.
+func (a *Arrivals) upgrade() {
+	n := len(a.words)
+	wide := make([]uint32, 2*n)
+	prev := a.oldest
+	for k := 1; k < a.count; k++ {
+		i := (a.head + k) % n
+		s := unpackNarrow(prev, a.words[i], a.step)
+		w, _ := pack(prev, s)
+		wide[2*i], wide[2*i+1] = uint32(w), uint32(w>>32)
+		prev = s
+	}
+	a.words, a.step = wide, wideStep
+}
+
+// wideWord returns the wide word of slot i of an upgraded window.
+func (a *Arrivals) wideWord(i int) uint64 {
+	return uint64(a.words[2*i]) | uint64(a.words[2*i+1])<<32
+}
+
+// next rebuilds the sample in slot i from prev, the sample before it.
+func (a *Arrivals) next(prev ArrivalSample, i int) ArrivalSample {
+	if a.step == wideStep {
+		return unpack(prev, a.wideWord(i))
+	}
+	return unpackNarrow(prev, a.words[i], a.step)
+}
+
 // Cap returns the fixed capacity.
-func (a *Arrivals) Cap() int { return len(a.words) }
+func (a *Arrivals) Cap() int {
+	if a.step == wideStep {
+		return len(a.words) / 2
+	}
+	return len(a.words)
+}
 
 // Len returns the number of stored samples.
 func (a *Arrivals) Len() int { return a.count }
 
 // Full reports whether the window is at capacity.
-func (a *Arrivals) Full() bool { return a.count == len(a.words) }
+func (a *Arrivals) Full() bool { return a.count == a.Cap() }
 
 // Oldest returns the least recently pushed sample; ok is false when empty.
 func (a *Arrivals) Oldest() (ArrivalSample, bool) { return a.oldest, a.count > 0 }
@@ -107,25 +218,58 @@ func (a *Arrivals) Sums() (seq, recv int64) { return a.sumSeq, a.sumRecv }
 
 // Export appends the stored samples to dst, oldest first.
 func (a *Arrivals) Export(dst []ArrivalSample) []ArrivalSample {
-	s := a.oldest
-	for i := 0; i < a.count; i++ {
-		if i > 0 {
-			s = unpack(s, a.words[(a.head+i)%len(a.words)])
+	s, n := a.oldest, a.Cap()
+	for k := 0; k < a.count; k++ {
+		if k > 0 {
+			s = a.next(s, (a.head+k)%n)
 		}
 		dst = append(dst, s)
 	}
 	return dst
 }
 
-// Reset empties the window.
+// Reset empties the window. An upgraded window stays wide.
 func (a *Arrivals) Reset() {
 	a.head, a.count = 0, 0
 	a.oldest, a.newest = ArrivalSample{}, ArrivalSample{}
 	a.sumSeq, a.sumRecv = 0, 0
 }
 
-// pack encodes s as a delta word from prev; ok is false when a delta does
-// not fit its field.
+// learnStep is the step a narrow window predicts from its first delta,
+// prev → s: Δrecv per unit Δseq, or 0 when that is undefined, negative or
+// above maxStep.
+func learnStep(prev, s ArrivalSample) int64 {
+	ds := int64(s.Seq - prev.Seq)
+	dr := int64(s.Recv - prev.Recv)
+	if ds < 1 || dr < 0 || dr/ds > maxStep {
+		return 0
+	}
+	return dr / ds
+}
+
+// packNarrow encodes s as a narrow word from prev against step; ok is
+// false when Δseq − 1 or the residual does not fit its field.
+func packNarrow(prev, s ArrivalSample, step int64) (w uint32, ok bool) {
+	ds := int64(s.Seq - prev.Seq)
+	zs := zigzag(ds - 1)
+	zr := zigzag(int64(s.Recv-prev.Recv) - ds*step)
+	if zs>>narrowSeqBits != 0 || zr>>narrowResBits != 0 {
+		return 0, false
+	}
+	return uint32(zs | zr<<narrowSeqBits), true
+}
+
+// unpackNarrow rebuilds the sample that follows prev from its narrow word.
+func unpackNarrow(prev ArrivalSample, w uint32, step int64) ArrivalSample {
+	ds := unzigzag(uint64(w&(1<<narrowSeqBits-1))) + 1
+	return ArrivalSample{
+		Seq:  prev.Seq + uint64(ds),
+		Recv: prev.Recv + clock.Time(unzigzag(uint64(w>>narrowSeqBits))+ds*step),
+	}
+}
+
+// pack encodes s as a wide delta word from prev; ok is false when a delta
+// does not fit its field.
 func pack(prev, s ArrivalSample) (w uint64, ok bool) {
 	ds := zigzag(int64(s.Seq - prev.Seq))
 	dr := zigzag(int64(s.Recv - prev.Recv))
@@ -135,7 +279,7 @@ func pack(prev, s ArrivalSample) (w uint64, ok bool) {
 	return ds | dr<<seqBits, true
 }
 
-// unpack rebuilds the sample that follows prev from its delta word.
+// unpack rebuilds the sample that follows prev from its wide delta word.
 func unpack(prev ArrivalSample, w uint64) ArrivalSample {
 	return ArrivalSample{
 		Seq:  prev.Seq + uint64(unzigzag(w&(1<<seqBits-1))),

@@ -8,93 +8,81 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/trace"
 )
 
-// refArrivals is the plain reference the packed window must match: a
-// slice FIFO that applies the documented restart rule directly to the
-// deltas between neighbouring samples.
-type refArrivals struct {
-	capacity int
-	s        []ArrivalSample
-}
+// wide reports whether a has been upgraded to wide words.
+func (a *Arrivals) wide() bool { return a.step == wideStep }
 
-// refFits is the restart rule as documented: the sequence delta must lie
-// in [−2¹⁵, 2¹⁵) and the arrival delta in [−2⁴⁷, 2⁴⁷) ns, both taken
-// modulo 2⁶⁴.
-func refFits(prev, s ArrivalSample) bool {
-	ds := int64(s.Seq - prev.Seq)
-	dr := int64(s.Recv - prev.Recv)
-	return ds >= -1<<15 && ds < 1<<15 && dr >= -1<<47 && dr < 1<<47
-}
-
-func (r *refArrivals) push(s ArrivalSample) {
-	if n := len(r.s); n > 0 && !refFits(r.s[n-1], s) {
-		r.s = r.s[:0]
-	}
-	r.s = append(r.s, s)
-	if len(r.s) > r.capacity {
-		copy(r.s, r.s[1:])
-		r.s = r.s[:r.capacity]
-	}
-}
-
-// check compares every observable of a against the reference.
-func (r *refArrivals) check(t *testing.T, a *Arrivals, step int) {
+// check compares every observable of a against the reference window.
+func check(t *testing.T, a *Arrivals, ref *refArrivals, step int) {
 	t.Helper()
-	got := a.Export(nil)
-	if len(got) == 0 {
-		got = nil
-	}
-	want := r.s
-	if len(want) == 0 {
-		want = nil
-	}
+	got, want := a.Export(nil), ref.Export(nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d: Export = %v, want %v", step, got, want)
 	}
-	if a.Len() != len(r.s) || a.Full() != (len(r.s) == r.capacity) || a.Cap() != r.capacity {
+	if a.Len() != ref.Len() || a.Full() != ref.Full() || a.Cap() != ref.Cap() {
 		t.Fatalf("step %d: Len/Full/Cap = %d/%v/%d, want %d/%v/%d", step,
-			a.Len(), a.Full(), a.Cap(), len(r.s), len(r.s) == r.capacity, r.capacity)
-	}
-	var wantOld, wantNew ArrivalSample
-	var sumSeq, sumRecv int64
-	if n := len(r.s); n > 0 {
-		wantOld, wantNew = r.s[0], r.s[n-1]
-	}
-	for _, s := range r.s {
-		sumSeq += int64(s.Seq)
-		sumRecv += int64(s.Recv)
+			a.Len(), a.Full(), a.Cap(), ref.Len(), ref.Full(), ref.Cap())
 	}
 	old, okOld := a.Oldest()
 	nw, okNew := a.Newest()
-	if okOld != (len(r.s) > 0) || okNew != okOld || (okOld && (old != wantOld || nw != wantNew)) {
-		t.Fatalf("step %d: Oldest/Newest = %v,%v / %v,%v, want %v / %v", step, old, okOld, nw, okNew, wantOld, wantNew)
+	wantOld, wantOkOld := ref.Oldest()
+	wantNew, wantOkNew := ref.Newest()
+	if old != wantOld || okOld != wantOkOld || nw != wantNew || okNew != wantOkNew {
+		t.Fatalf("step %d: Oldest/Newest = %v,%v / %v,%v, want %v,%v / %v,%v", step,
+			old, okOld, nw, okNew, wantOld, wantOkOld, wantNew, wantOkNew)
 	}
-	if gs, gr := a.Sums(); gs != sumSeq || gr != sumRecv {
-		t.Fatalf("step %d: Sums = %d,%d, want %d,%d", step, gs, gr, sumSeq, sumRecv)
+	gs, gr := a.Sums()
+	ws, wr := ref.Sums()
+	if gs != ws || gr != wr {
+		t.Fatalf("step %d: Sums = %d,%d, want %d,%d", step, gs, gr, ws, wr)
 	}
 }
 
 // drive pushes samples into a window of the given capacity and the
-// reference side by side, comparing after every push.
-func drive(t *testing.T, capacity int, samples []ArrivalSample) {
+// reference side by side, comparing after every push, then resets both.
+// It returns the window as it stood before the reset.
+func drive(t *testing.T, capacity int, samples []ArrivalSample) Arrivals {
 	t.Helper()
 	a := NewArrivals(capacity)
-	ref := &refArrivals{capacity: capacity}
-	ref.check(t, &a, -1)
+	ref := newRefArrivals(capacity)
+	check(t, &a, ref, -1)
 	for i, s := range samples {
 		a.Push(s)
-		ref.push(s)
-		ref.check(t, &a, i)
+		ref.Push(s)
+		check(t, &a, ref, i)
 	}
+	end := a
 	a.Reset()
-	ref.s = ref.s[:0]
-	ref.check(t, &a, len(samples))
+	ref.Reset()
+	check(t, &a, ref, len(samples))
+	return end
+}
+
+// walk builds samples from base by successive (Δseq, Δrecv) deltas.
+func walk(base ArrivalSample, deltas ...[2]int64) []ArrivalSample {
+	out := []ArrivalSample{base}
+	for _, d := range deltas {
+		base.Seq += uint64(d[0])
+		base.Recv += clock.Time(d[1])
+		out = append(out, base)
+	}
+	return out
+}
+
+// onTime returns n deltas of one heartbeat each, interval iv apart.
+func onTime(n int, iv int64) [][2]int64 {
+	out := make([][2]int64, n)
+	for i := range out {
+		out[i] = [2]int64{1, iv}
+	}
+	return out
 }
 
 // TestArrivalsRestartBoundaries pins the restart rule at the edges of both
-// fields: the last delta that fits keeps the history, the first that does
-// not restarts the window at the new sample.
+// wide fields: the last delta that fits keeps the history, the first that
+// does not restarts the window at the new sample.
 func TestArrivalsRestartBoundaries(t *testing.T) {
 	base := ArrivalSample{Seq: 1 << 40, Recv: 1 << 50}
 	cases := []struct {
@@ -133,27 +121,149 @@ func TestArrivalsRestartBoundaries(t *testing.T) {
 	}
 }
 
-// randomSamples builds a sequence mixing ordinary heartbeat spacing with
-// negative deltas, sequence jumps at and past 2¹⁵, arrival jumps at and
-// past 2⁴⁷ ns, and values at the int64/uint64 extremes.
+// TestArrivalsNarrowBoundaries pins the narrow fit at the edges of both
+// narrow fields, against a step learned from a 1 s first delta: the last
+// delta that fits keeps the window narrow, the first that does not
+// upgrades it, and neither loses a sample.
+func TestArrivalsNarrowBoundaries(t *testing.T) {
+	const iv = int64(clock.Second)
+	cases := []struct {
+		name    string
+		ds, r   int64 // Δseq and the residual Δrecv − Δseq·step
+		upgrade bool
+	}{
+		{"on time", 1, 0, false},
+		{"seq +8", 8, 0, false},
+		{"seq +9", 9, 0, true},
+		{"seq -7", -7, 0, false},
+		{"seq -8", -8, 0, true},
+		{"residual +2^27-1", 1, 1<<27 - 1, false},
+		{"residual +2^27", 1, 1 << 27, true},
+		{"residual -2^27", 1, -1 << 27, false},
+		{"residual -2^27-1", 1, -1<<27 - 1, true},
+	}
+	for _, c := range cases {
+		got := drive(t, 8, walk(ArrivalSample{Seq: 7, Recv: 1 << 50}, [2]int64{1, iv}, [2]int64{c.ds, c.ds*iv + c.r}))
+		if got.Len() != 3 || got.wide() != c.upgrade {
+			t.Errorf("%s: Len %d wide %v, want Len 3 wide %v", c.name, got.Len(), got.wide(), c.upgrade)
+		}
+	}
+}
+
+// TestArrivalsStepRule pins how the step is learned: from the first delta
+// after a start, restart or reset, as Δrecv/Δseq, and 0 when that is
+// negative, undefined or above 2⁴⁰ ns; at the largest step a narrow fit
+// is still a wide fit.
+func TestArrivalsStepRule(t *testing.T) {
+	base := ArrivalSample{Seq: 100, Recv: 1 << 50}
+	cases := []struct {
+		name  string
+		first [2]int64
+		step  int64
+	}{
+		{"one beat", [2]int64{1, 5e8}, 5e8},
+		{"after a loss", [2]int64{3, 3e8 + 2}, 1e8},
+		{"max step", [2]int64{1, maxStep}, maxStep},
+		{"above max", [2]int64{1, maxStep + 1}, 0},
+		{"backwards in time", [2]int64{1, -5}, 0},
+		{"same seq", [2]int64{0, 5e8}, 0},
+		{"seq backwards", [2]int64{-1, 5e8}, 0},
+	}
+	for _, c := range cases {
+		s := ArrivalSample{Seq: base.Seq + uint64(c.first[0]), Recv: base.Recv + clock.Time(c.first[1])}
+		if got := learnStep(base, s); got != c.step {
+			t.Errorf("%s: step %d, want %d", c.name, got, c.step)
+		}
+	}
+	// At the largest step the widest narrow delta is a wide fit.
+	got := drive(t, 4, walk(base, [2]int64{1, maxStep}, [2]int64{8, 8*maxStep + 1<<27 - 1}))
+	if got.Len() != 3 || got.wide() {
+		t.Fatalf("max step: Len %d wide %v, want 3 narrow", got.Len(), got.wide())
+	}
+	// A restart and a Reset both relearn the step.
+	a := NewArrivals(4)
+	for _, s := range walk(base, [2]int64{1, 1e9}, [2]int64{1 << 15, 1}, [2]int64{1, 2e9}) {
+		a.Push(s)
+	}
+	if a.step != 2e9 || a.wide() {
+		t.Fatalf("after restart: step %d wide %v, want 2e9 narrow", a.step, a.wide())
+	}
+	a.Reset()
+	for _, s := range walk(base, [2]int64{1, 3e9}) {
+		a.Push(s)
+	}
+	if a.step != 3e9 {
+		t.Fatalf("after Reset: step %d, want 3e9", a.step)
+	}
+}
+
+// TestArrivalsUpgradeScenarios walks the narrow → wide switch through the
+// shapes that stress the slot arithmetic, each against the reference after
+// every push.
+func TestArrivalsUpgradeScenarios(t *testing.T) {
+	const iv = int64(clock.Second)
+	late := [2]int64{1, iv + 1<<28}  // fits wide, not narrow
+	jump := [2]int64{1 << 15, iv}    // fits nothing: restart
+	lossy := [2]int64{20, 20*iv + 3} // Δseq past the narrow field
+	cat := func(parts ...[][2]int64) [][2]int64 {
+		var out [][2]int64
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		capacity int
+		deltas   [][2]int64
+		wide     bool
+		len      int
+	}{
+		{"stays narrow", 8, onTime(30, iv), false, 8},
+		{"upgrade mid-window", 8, cat(onTime(4, iv), [][2]int64{late}, onTime(20, iv)), true, 8},
+		{"upgrade on the evicting push", 4, cat(onTime(3, iv), [][2]int64{late}, onTime(2, iv)), true, 4},
+		{"upgrade after the head wrapped", 5, cat(onTime(13, iv), [][2]int64{lossy}, onTime(3, iv)), true, 5},
+		{"restart after an upgrade stays wide", 6, cat(onTime(2, iv), [][2]int64{late}, onTime(2, iv), [][2]int64{jump}, onTime(2, iv)), true, 3},
+		{"restart while narrow stays narrow", 6, cat(onTime(3, iv), [][2]int64{jump}, onTime(9, iv)), false, 6},
+		// One sample relearns the step on every push: only Δseq upgrades it.
+		{"capacity 1", 1, cat(onTime(3, iv), [][2]int64{late, lossy, jump}, onTime(3, iv)), true, 1},
+		{"capacity 3", 3, cat(onTime(7, iv), [][2]int64{late}, onTime(7, iv), [][2]int64{jump, late}), true, 2},
+		{"capacity 7", 7, cat(onTime(9, iv), [][2]int64{lossy, late}, onTime(11, iv)), true, 7},
+	}
+	for _, c := range cases {
+		got := drive(t, c.capacity, walk(ArrivalSample{Seq: 1, Recv: 1 << 45}, c.deltas...))
+		if got.wide() != c.wide || got.Len() != c.len {
+			t.Errorf("%s: wide %v Len %d, want wide %v Len %d", c.name, got.wide(), got.Len(), c.wide, c.len)
+		}
+	}
+}
+
+// randomSamples builds a sequence mixing heartbeats on time and late,
+// loss gaps, negative deltas, sequence jumps at and past 2¹⁵, arrival
+// jumps at and past 2⁴⁷ ns, and values at the int64/uint64 extremes.
 func randomSamples(rng *rand.Rand, n int) []ArrivalSample {
 	out := make([]ArrivalSample, 0, n)
 	s := ArrivalSample{Seq: uint64(rng.Int63n(1 << 20)), Recv: clock.Time(rng.Int63n(1 << 50))}
+	iv := 1 + rng.Int63n(int64(2*clock.Second))
 	for len(out) < n {
-		switch k := rng.Intn(20); {
-		case k < 12: // a heartbeat, maybe after losses
-			s.Seq += uint64(1 + rng.Intn(4))
-			s.Recv += clock.Time(rng.Int63n(int64(200 * clock.Millisecond)))
-		case k < 15: // reordering or a clamped synthetic arrival
+		switch k := rng.Intn(40); {
+		case k < 20: // a heartbeat with jitter, sometimes past the narrow residual
+			s.Seq++
+			s.Recv += clock.Time(iv + rng.Int63n(1<<28) - 1<<27 + int64(rng.Intn(2)))
+		case k < 24: // a heartbeat after losses
+			d := 1 + rng.Intn(12)
+			s.Seq += uint64(d)
+			s.Recv += clock.Time(int64(d)*iv + rng.Int63n(int64(200*clock.Millisecond)))
+		case k < 30: // reordering or a clamped synthetic arrival
 			s.Seq -= uint64(rng.Intn(1 << 15))
 			s.Recv -= clock.Time(rng.Int63n(int64(clock.Second)))
-		case k == 15:
+		case k < 32:
 			s.Seq += uint64(1<<15 - 1 + rng.Intn(3))
-		case k == 16:
+		case k < 34:
 			s.Seq -= uint64(1<<15 + rng.Intn(2))
-		case k == 17:
+		case k < 36:
 			s.Recv += clock.Time(1<<47 - 1 + rng.Int63n(3))
-		case k == 18:
+		case k < 38:
 			s.Recv -= clock.Time(1<<47 + rng.Int63n(2))
 		default: // anywhere at all
 			s.Seq = rng.Uint64()
@@ -167,8 +277,8 @@ func randomSamples(rng *rand.Rand, n int) []ArrivalSample {
 	return out
 }
 
-// TestArrivalsMatchReferenceProperty drives the packed window and the
-// slice reference over random sequences at many capacities.
+// TestArrivalsMatchReferenceProperty drives the narrow/wide window and the
+// wide-only reference over random sequences at many capacities.
 func TestArrivalsMatchReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, capacity := range []int{1, 2, 3, 7, 64, 100} {
@@ -188,20 +298,74 @@ func TestArrivalsCapacityFloor(t *testing.T) {
 	}
 }
 
+// TestNarrowFitOnPresets measures, over every paper trace preset, how
+// often a received heartbeat's delta from the previous one misfits a
+// narrow word, for three splits of the 32 bits between Δseq − 1 and the
+// residual against the preset's Δt, and after how many arrivals the
+// window itself first upgrades. It holds the chosen 4/28 split under
+// 0.5 % on every preset; run with -v for the table.
+func TestNarrowFitOnPresets(t *testing.T) {
+	splits := []uint{3, narrowSeqBits, 6}
+	for _, name := range trace.PresetNames() {
+		gp, err := trace.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := trace.Collect(gp.Meta, trace.NewGenerator(gp)).Records
+		step := int64(gp.Meta.Interval)
+		misfits := make([]int, len(splits))
+		pairs, upgradeAt := 0, -1
+		a := NewArrivals(1000)
+		var prev ArrivalSample
+		for i, r := range recs {
+			if r.Lost {
+				continue
+			}
+			s := ArrivalSample{Seq: r.Seq, Recv: r.RecvTime}
+			if a.Len() > 0 {
+				pairs++
+				ds := int64(s.Seq - prev.Seq)
+				zr := zigzag(int64(s.Recv-prev.Recv) - ds*step)
+				for k, sb := range splits {
+					if zigzag(ds-1)>>sb != 0 || zr>>(32-sb) != 0 {
+						misfits[k]++
+					}
+				}
+			}
+			a.Push(s)
+			if upgradeAt < 0 && a.wide() {
+				upgradeAt = i
+			}
+			prev = s
+		}
+		rate := func(k int) float64 { return 100 * float64(misfits[k]) / float64(pairs) }
+		t.Logf("%-8s misfit %d/%d %.3f%%  %d/%d %.3f%%  %d/%d %.3f%%  first upgrade at record %d",
+			name, splits[0], 32-splits[0], rate(0), splits[1], 32-splits[1], rate(1),
+			splits[2], 32-splits[2], rate(2), upgradeAt)
+		if rate(1) > 0.5 {
+			t.Errorf("%s: %.3f%% of deltas misfit the %d/%d split, want ≤ 0.5%%",
+				name, rate(1), splits[1], 32-splits[1])
+		}
+	}
+}
+
 // fuzzShifts scale a fuzzed 16-bit delta so that one input byte reaches
-// small steps and both field boundaries alike.
+// small steps and the narrow and wide field boundaries alike.
 var (
 	fuzzSeqShifts  = [4]uint{0, 1, 2, 40}
-	fuzzRecvShifts = [4]uint{0, 20, 32, 33}
+	fuzzRecvShifts = [4]uint{0, 20, 12, 33}
 )
 
 // fuzzSamples decodes data into samples, five bytes each: a selector and
-// two signed 16-bit deltas, each scaled by a selector-chosen shift; bit 4
+// two signed 16-bit deltas, each scaled by a selector-chosen shift. Bit 4
 // of the selector subtracts one more from both deltas, so a fuzzer reaches
-// 2¹⁵−1 and 2⁴⁷−1 as easily as the round values.
+// 2¹⁵−1 and 2⁴⁷−1 as easily as the round values; bit 5 adds the previous
+// arrival delta to this one, so runs of on-time heartbeats with a small
+// residual — the narrow words — are as easy to reach as anything else.
 func fuzzSamples(data []byte) []ArrivalSample {
 	var out []ArrivalSample
 	var s ArrivalSample
+	var prevDr int64
 	for ; len(data) >= 5; data = data[5:] {
 		sel := data[0]
 		ds := int64(int16(binary.LittleEndian.Uint16(data[1:]))) << fuzzSeqShifts[sel&3]
@@ -209,29 +373,60 @@ func fuzzSamples(data []byte) []ArrivalSample {
 		if sel&16 != 0 {
 			ds, dr = ds-1, dr-1
 		}
+		if sel&32 != 0 {
+			dr += prevDr
+		}
 		s.Seq += uint64(ds)
 		s.Recv += clock.Time(dr)
+		prevDr = dr
 		out = append(out, s)
 	}
 	return out
 }
 
-// FuzzArrivals holds the packed window to the slice reference on
+// FuzzArrivals holds the narrow/wide window to the wide-only reference on
 // arbitrary push sequences: it must never panic, never lose a bit, and
-// restart exactly where the reference does.
+// restart exactly where the reference does, whichever encoding it holds.
 func FuzzArrivals(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 0, 100, 0, 0, 1, 0, 100, 0, 0, 0xff, 0xff, 0x9c, 0xff})
 	f.Add(uint8(2), []byte{1, 0, 0x40, 0, 0, 0x11, 0, 0x40, 0, 0, 3, 0, 0, 0, 0x80})
 	f.Add(uint8(5), []byte{0x0c, 1, 0, 0, 0x40, 0x1c, 1, 0, 0, 0x40, 0x08, 1, 0, 0, 0x80})
+	// A 1 ms step on time twice, a residual of −2²⁷ that still fits, then
+	// deltas whose residuals do not.
+	f.Add(uint8(7), []byte{0x04, 1, 0, 1, 0, 0x20, 1, 0, 0, 0, 0x20, 1, 0, 0, 0,
+		0x28, 1, 0, 0, 0x80, 0x38, 1, 0, 0, 0x80, 0x20, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, capRaw uint8, data []byte) {
 		drive(t, int(capRaw%16)+1, fuzzSamples(data))
 	})
 }
 
+// BenchmarkArrivalsPush measures one Push into a full window of 1 000:
+// narrow (on-time heartbeats), wide (the same heartbeats after an
+// upgrade) and restart (every push a sequence jump no word holds).
 func BenchmarkArrivalsPush(b *testing.B) {
-	a := NewArrivals(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Push(ArrivalSample{Seq: uint64(i), Recv: clock.Time(i) * clock.Time(clock.Millisecond)})
+	const iv = clock.Millisecond
+	push := func(b *testing.B, a *Arrivals, seqStep uint64) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a.Push(ArrivalSample{Seq: uint64(i) * seqStep, Recv: clock.Time(i) * clock.Time(iv)})
+		}
 	}
+	b.Run("narrow", func(b *testing.B) {
+		a := NewArrivals(1000)
+		push(b, &a, 1)
+	})
+	b.Run("wide", func(b *testing.B) {
+		a := NewArrivals(1000)
+		a.Push(ArrivalSample{})
+		a.Push(ArrivalSample{Seq: 1, Recv: clock.Time(3600 * clock.Second)})
+		a.Push(ArrivalSample{Seq: 2})
+		if !a.wide() {
+			b.Fatal("window did not upgrade")
+		}
+		push(b, &a, 1)
+	})
+	b.Run("restart", func(b *testing.B) {
+		a := NewArrivals(1000)
+		push(b, &a, 1<<15)
+	})
 }
