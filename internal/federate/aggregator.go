@@ -102,6 +102,11 @@ type AggCounters struct {
 	AssignOverflow  uint64 `json:"assign_overflow,omitempty"` // table rows left out of a push: a leaf's table outgrew one datagram
 	LeafOfflines    uint64 `json:"leaf_offlines"`
 	LeafRecoveries  uint64 `json:"leaf_recoveries"`
+	// Urgent digests: rows merged, and rows dropped (duplicate or
+	// reordered datagram, unknown leaf, or not the cohort's current
+	// owner epoch).
+	UrgentRowsMerged uint64 `json:"urgent_rows_merged"`
+	UrgentStale      uint64 `json:"urgent_stale"`
 
 	// HA counters (all zero outside HA mode).
 	PeerBeatsSent     uint64 `json:"peer_beats_sent,omitempty"`
@@ -159,6 +164,10 @@ type leafState struct {
 	lastSeq   uint64
 	directInc uint64
 	directSeq uint64
+	// (urgentInc, urgentSeq) is the urgent-digest watermark, separate
+	// from both: urgent digests number their own sequence.
+	urgentInc uint64
+	urgentSeq uint64
 	lastAt    clock.Time
 	echoedAV  uint64 // newest assignment version echoed in a digest
 	live      leafLiveness
@@ -268,6 +277,8 @@ type Aggregator struct {
 	leafOfflines    atomic.Uint64
 	assignOverflow  atomic.Uint64
 	leafRecoveries  atomic.Uint64
+	urgentMerged    atomic.Uint64
+	urgentStale     atomic.Uint64
 
 	leaderFlag        atomic.Bool
 	joining           atomic.Bool
@@ -508,6 +519,8 @@ func (a *Aggregator) HandleDatagram(from string, payload []byte) {
 		a.ingestPeerBeat(from, msg.PeerBeat)
 	case msg.Mirror != nil:
 		a.ingestMirror(from, msg.Mirror)
+	case msg.Urgent != nil:
+		a.ingestUrgent(msg.Urgent)
 		// Assignments and acks address leaves, not aggregators: ignore.
 	}
 }
@@ -646,14 +659,55 @@ func (a *Aggregator) mergeRowLocked(leaf string, inc uint64, row *CohortDigest, 
 	}
 	c.orphaned = false
 	c.updatedAt = now
-	for _, n := range row.Notable {
+	a.addNotablesLocked(c, leaf, row.Notable)
+	a.rowsMerged.Add(1)
+}
+
+// addNotablesLocked appends a row's notables to the cohort's /fleet
+// ring, dropping the oldest past MaxNotable.
+func (a *Aggregator) addNotablesLocked(c *cohortMerge, leaf string, ns []Notable) {
+	for _, n := range ns {
 		if len(c.notable) >= a.opts.MaxNotable {
 			copy(c.notable, c.notable[1:])
 			c.notable = c.notable[:len(c.notable)-1]
 		}
 		c.notable = append(c.notable, notableAt{Notable: n, leaf: leaf})
 	}
-	a.rowsMerged.Add(1)
+}
+
+// ingestUrgent merges one urgent digest: the cumulative transition
+// counters, by maximum, and the notables of the cohorts that changed in
+// one leaf wheel tick. It only merges. It does not feed the liveness
+// registry, because the leaf's detector estimates the digest period
+// from periodic arrivals, and extra arrivals would pull its freshness
+// point forward and falsely suspect the leaf. It is not acked, and it
+// moves neither digest watermark: it has its own per-(leaf, inc) seq,
+// which drops duplicate and reordered datagrams. A row is merged only
+// into the cohort's current owner epoch for (leaf, inc). An urgent row
+// never opens an epoch, because the periodic digest carries the same
+// counters at most one interval later. State counts and QoS still come
+// from periodic digests alone.
+func (a *Aggregator) ingestUrgent(d *Digest) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ls := a.leaves[d.Leaf]
+	if ls == nil || d.Inc < ls.urgentInc || (d.Inc == ls.urgentInc && d.Seq <= ls.urgentSeq) {
+		a.urgentStale.Add(uint64(len(d.Cohorts)))
+		return
+	}
+	ls.urgentInc, ls.urgentSeq = d.Inc, d.Seq
+	for i := range d.Cohorts {
+		row := &d.Cohorts[i]
+		c := a.cohorts[row.Filter]
+		if c == nil || c.owner != d.Leaf || c.epochLeaf != d.Leaf || c.epochInc != d.Inc {
+			a.urgentStale.Add(1)
+			continue
+		}
+		maxTransitions(&c.last, row)
+		c.last.Omitted = row.Omitted
+		a.addNotablesLocked(c, d.Leaf, row.Notable)
+		a.urgentMerged.Add(1)
+	}
 }
 
 // redelegateLocked reassigns a dead leaf's cohorts to survivors. The
@@ -859,6 +913,9 @@ func (a *Aggregator) Counters() AggCounters {
 		AssignOverflow:  a.assignOverflow.Load(),
 		LeafOfflines:    a.leafOfflines.Load(),
 		LeafRecoveries:  a.leafRecoveries.Load(),
+
+		UrgentRowsMerged: a.urgentMerged.Load(),
+		UrgentStale:      a.urgentStale.Load(),
 
 		PeerBeatsSent:     a.peerBeatsSent.Load(),
 		PeerBeatsReceived: a.peerBeatsReceived.Load(),

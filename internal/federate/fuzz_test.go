@@ -7,7 +7,8 @@ import (
 
 // FuzzDecode hardens the federation codec against hostile datagrams: the
 // aggregator's UDP port is open to the world, so across the full
-// five-kind surface (digests, assignments, peer beats, mirrors, acks) no
+// six-kind surface (digests, assignments, peer beats, mirrors, acks,
+// urgent digests) no
 // byte sequence may panic the decoder, an accepted message decodes into
 // exactly one arm within the wire bounds, and it re-encodes to the exact
 // input bytes (canonical encoding — the same contract as the heartbeat
@@ -71,6 +72,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), ak...), 0))     // trailing byte
 	f.Add(append(append([]byte(nil), db...), ab...)) // fused datagrams
 	f.Add(append(append([]byte(nil), pb...), mi...))
+	// Urgent digests (kind 6), appended so the earlier seeds keep their
+	// numbers: legal, minimal, truncated, fused with a digest.
+	ub := marshalUrgent(d)
+	f.Add(ub)
+	f.Add(marshalUrgent(Digest{Leaf: "l"}))
+	f.Add(ub[:len(ub)-1])
+	f.Add(append(append([]byte(nil), ub...), db...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := Decode(b)
@@ -111,6 +119,13 @@ func FuzzDecode(f *testing.F) {
 		if msg.Ack != nil {
 			arms++
 			out = msg.Ack.Marshal()
+		}
+		if msg.Urgent != nil {
+			arms++
+			if msg.Urgent.Leaf == "" || len(msg.Urgent.Cohorts) > MaxDigestCohorts {
+				t.Fatalf("accepted urgent digest with leaf %q, %d cohorts", msg.Urgent.Leaf, len(msg.Urgent.Cohorts))
+			}
+			out = marshalUrgent(*msg.Urgent)
 		}
 		if arms != 1 {
 			t.Fatalf("accepted message decodes into %d arms", arms)

@@ -13,6 +13,12 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.hex from the current encoder")
 
+// marshalUrgent encodes d as one urgent datagram, the way the leaf's
+// end-of-tick push does, with Marshal's bounds contract.
+func marshalUrgent(d Digest) []byte {
+	return d.pack(kindUrgent, func() uint64 { return d.Seq }).One()
+}
+
 // checkGolden compares got with the committed hex fixture and returns the
 // fixture's bytes, so callers decode what is on disk, not what they just
 // encoded.
@@ -38,15 +44,16 @@ func checkGolden(t *testing.T, name string, got []byte) []byte {
 	return want
 }
 
-// TestGoldenBytes pins all five federation records byte for byte, one
-// fully-populated and one minimal instance each. The fixtures were
-// generated at commit e5c2447 (the hand-rolled codec, before the port onto
-// internal/wire) with
+// TestGoldenBytes pins all six federation records byte for byte, one
+// fully-populated and one minimal instance each. The fixtures of the
+// first five were generated at commit e5c2447 (the hand-rolled codec,
+// before the port onto internal/wire) with
 //
 //	go test ./internal/federate -run TestGoldenBytes -update-golden
 //
-// which writes hex(x.Marshal()) for each case below; this file uses only
-// names that exist at that commit, so it can be copied there to check.
+// which writes hex(x.Marshal()) for each case below; apart from the two
+// urgent cases, added with kindUrgent, this file uses only names that
+// exist at that commit, so it can be copied there to check.
 func TestGoldenBytes(t *testing.T) {
 	row := CohortDigest{Filter: "eu/cluster-3/#", Streams: 1000, Trusted: 990, Suspected: 7, Offline: 3,
 		Suspects: 12, Trusts: 5, Offlines: 3, Evictions: 1,
@@ -90,6 +97,14 @@ func TestGoldenBytes(t *testing.T) {
 		{"mirror_minimal", Message{Mirror: &Mirror{Agg: "a"}}},
 		{"ack_full", Message{Ack: &Ack{Agg: "agg-a", Leader: true, AssignVersion: 3, EchoSeq: 41, SentAt: 1 << 40}}},
 		{"ack_minimal", Message{Ack: &Ack{Agg: "a"}}},
+		// An urgent body is a digest body: rows carry counters and
+		// notables, state counts and QoS stay at their zero values.
+		{"urgent_full", Message{Urgent: &Digest{Leaf: "eu/leaf-1", Region: "eu", Inc: 2, Seq: 7,
+			SentAt: 1 << 40, AssignVersion: 3, Cohorts: []CohortDigest{
+				{Filter: row.Filter, Suspects: 12, Trusts: 5, Offlines: 3, Evictions: 1, QAPMin: 1, Omitted: 4,
+					Notable: withNotables.Notable},
+				{Filter: "eu/cluster-4/#", Trusts: 1, QAPMin: 1}}}}},
+		{"urgent_minimal", Message{Urgent: &Digest{Leaf: "l"}}},
 	}
 	for _, c := range cases {
 		var enc []byte
@@ -104,6 +119,8 @@ func TestGoldenBytes(t *testing.T) {
 			enc = m.Mirror.Marshal()
 		case m.Ack != nil:
 			enc = m.Ack.Marshal()
+		case m.Urgent != nil:
+			enc = marshalUrgent(*m.Urgent)
 		}
 		got, err := Decode(checkGolden(t, c.name, enc))
 		if err != nil {

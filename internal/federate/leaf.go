@@ -45,7 +45,7 @@ type LeafOptions struct {
 	WeightFn func() float64
 	// BusBuf is the capacity of the registry-bus subscription feeding
 	// transition counters (default 4096; drop-oldest beyond that, with
-	// drops visible in the registry's fanout accounting).
+	// drops counted in LeafCounters.BusDropped).
 	BusBuf int
 	// Aggs is the ordered aggregator address list for HA deployments;
 	// when set it supersedes the constructor's agg argument. The leaf
@@ -97,12 +97,20 @@ type LeafCounters struct {
 	AssignVersion  uint64 `json:"assign_version"`  // gauge
 	StreamsRolled  uint64 `json:"streams_rolled"`  // streams matched into cohorts, cumulative
 	StreamsForeign uint64 `json:"streams_foreign"` // swept streams outside every owned cohort
+	// BusDropped counts transitions the leaf's bus subscription lost to
+	// drop-oldest backpressure: each is missing from the cohort counters,
+	// the one way /fleet totals can fall behind the leaf registry's.
+	BusDropped     uint64 `json:"bus_dropped"`
+	UrgentSent     uint64 `json:"urgent_sent"`     // urgent datagrams sent
+	UrgentBytes    uint64 `json:"urgent_bytes"`    // bytes of those datagrams
+	UrgentDeferred uint64 `json:"urgent_deferred"` // end-of-tick pushes left to the next tick or roll-up (leaf busy)
 }
 
 // cohortState is one owned cohort's accumulator. Transition counters are
 // cumulative for the cohort's current ownership epoch (they reset when
 // the cohort is adopted, never between digests) so a lost digest cannot
-// lose a transition; the notable ring resets every digest.
+// lose a transition; the notable ring resets every digest, urgent or
+// periodic. dirty marks a counter change no digest has carried yet.
 type cohortState struct {
 	filter    string
 	suspects  uint64
@@ -111,6 +119,28 @@ type cohortState struct {
 	evictions uint64
 	notable   []Notable
 	omitted   uint32
+	dirty     bool
+}
+
+// takeRow returns the cohort's cumulative counters with the notables
+// queued since the last digest, then empties the ring and clears dirty.
+func (c *cohortState) takeRow() CohortDigest {
+	cd := CohortDigest{
+		Filter:    c.filter,
+		Suspects:  c.suspects,
+		Trusts:    c.trusts,
+		Offlines:  c.offlines,
+		Evictions: c.evictions,
+		QAPMin:    1,
+		Omitted:   c.omitted,
+	}
+	if len(c.notable) > 0 {
+		cd.Notable = append([]Notable(nil), c.notable...)
+		c.notable = c.notable[:0]
+	}
+	c.omitted = 0
+	c.dirty = false
+	return cd
 }
 
 // aggState is the leaf's reachability record for one aggregator in its
@@ -129,8 +159,10 @@ type aggState struct {
 
 // Leaf is one monitor's membership in the federation tier: it owns a set
 // of cohorts, rolls them up to the regional aggregator(s) every
-// Interval, and adopts re-delegated cohorts from the aggregators'
-// assignment table. All methods are safe for concurrent use.
+// Interval, pushes a cohort's changed counters as an urgent digest at the
+// end of the registry wheel tick that changed them, and adopts
+// re-delegated cohorts from the aggregators' assignment table. All
+// methods are safe for concurrent use.
 type Leaf struct {
 	ep   gossip.Endpoint
 	clk  clock.Clock
@@ -154,8 +186,10 @@ type Leaf struct {
 	// assignVersion is the newest assignment-table version applied.
 	assignVersion uint64
 	seq           uint64
+	urgentSeq     uint64
 
-	sub *registry.Subscription
+	sub    *registry.Subscription
+	unhook func() // removes pushUrgent from the registry's tick hooks
 
 	rollups        atomic.Uint64
 	digestsSent    atomic.Uint64
@@ -168,6 +202,9 @@ type Leaf struct {
 	aggUnreachable atomic.Uint64
 	streamsRolled  atomic.Uint64
 	streamsForeign atomic.Uint64
+	urgentSent     atomic.Uint64
+	urgentBytes    atomic.Uint64
+	urgentDeferred atomic.Uint64
 
 	started atomic.Bool
 	stopped atomic.Bool
@@ -179,7 +216,8 @@ type Leaf struct {
 // agg, for HA pairs). A nil clock defaults to the real clock. Call
 // Start to begin roll-up rounds and feed received datagrams (assignment
 // pushes and acks) to HandleDatagramFrom — the same shared-socket
-// pattern as gossip.
+// pattern as gossip. Urgent digests need no Start: NewLeaf hooks them to
+// the end of reg's wheel tick, and Stop unhooks them.
 func NewLeaf(ep gossip.Endpoint, clk clock.Clock, reg *registry.Registry, agg string, opts LeafOptions) (*Leaf, error) {
 	if clk == nil {
 		clk = clock.NewReal()
@@ -225,6 +263,7 @@ func NewLeaf(ep gossip.Endpoint, clk clock.Clock, reg *registry.Registry, agg st
 		l.cohorts[f] = &cohortState{filter: f}
 	}
 	l.rebuildTrieLocked()
+	l.unhook = reg.OnTick(l.pushUrgent)
 	return l, nil
 }
 
@@ -282,10 +321,12 @@ func (l *Leaf) Start() {
 	go l.runReal()
 }
 
-// Stop halts the roll-up loop and detaches from the registry bus.
+// Stop halts the roll-up loop and urgent pushes and detaches from the
+// registry.
 func (l *Leaf) Stop() {
 	if l.stopped.CompareAndSwap(false, true) {
 		close(l.stopc)
+		l.unhook()
 		l.sub.Close()
 	}
 }
@@ -326,15 +367,23 @@ func (l *Leaf) Rollup(now clock.Time) {
 	l.mu.Unlock()
 
 	l.rollups.Add(1)
-	for _, d := range digests {
+	l.send(digests, targets, &l.digestsSent)
+}
+
+// send sends every datagram to every target, crediting sent per success
+// and sendErrors per failure, and returns the bytes sent.
+func (l *Leaf) send(datagrams [][]byte, targets []string, sent *atomic.Uint64) (bytes uint64) {
+	for _, p := range datagrams {
 		for _, to := range targets {
-			if l.ep.Send(to, d) == nil {
-				l.digestsSent.Add(1)
+			if l.ep.Send(to, p) == nil {
+				sent.Add(1)
+				bytes += uint64(len(p))
 			} else {
 				l.sendErrors.Add(1)
 			}
 		}
 	}
+	return bytes
 }
 
 // targetsLocked picks this round's send targets and updates per-
@@ -390,6 +439,24 @@ func (l *Leaf) targetsLocked(now clock.Time) []string {
 	return out
 }
 
+// routineTargetsLocked is targetsLocked without its side effects: the
+// aggregators every digest goes to, i.e. the reachable ones, or all of
+// them when none is. Probing an unreachable aggregator, and its backoff,
+// stay with the periodic digest, whose acks decide reachability.
+func (l *Leaf) routineTargetsLocked() []string {
+	anyReachable := false
+	for _, as := range l.aggs {
+		anyReachable = anyReachable || !as.unreachable
+	}
+	out := make([]string, 0, len(l.aggs))
+	for _, as := range l.aggs {
+		if !as.unreachable || !anyReachable {
+			out = append(out, as.addr)
+		}
+	}
+	return out
+}
+
 // drainBusLocked folds transition events since the last round into the
 // owning cohort's cumulative counters and notable ring. An event whose
 // stream matches no owned cohort is ignored (it belongs to a cohort
@@ -418,7 +485,10 @@ func (l *Leaf) drainBusLocked() {
 				notable = true
 			case registry.EventEvicted:
 				c.evictions++
+			default:
+				continue
 			}
+			c.dirty = true
 			if !notable {
 				continue
 			}
@@ -517,26 +587,11 @@ func (l *Leaf) buildDigestsLocked(now clock.Time, rows map[string]*cohortRow) []
 
 	entries := make([]CohortDigest, 0, len(filters))
 	for _, f := range filters {
-		c := l.cohorts[f]
-		row := rows[f]
-		cd := CohortDigest{
-			Filter:    f,
-			Suspects:  c.suspects,
-			Trusts:    c.trusts,
-			Offlines:  c.offlines,
-			Evictions: c.evictions,
-			QAPMin:    1,
-			Omitted:   c.omitted,
-		}
-		if row != nil {
+		cd := l.cohorts[f].takeRow()
+		if row := rows[f]; row != nil {
 			cd.Streams, cd.Trusted, cd.Suspected, cd.Offline = row.streams, row.trusted, row.suspected, row.offline
 			cd.TDSum, cd.MRSum, cd.QAPMin, cd.Tuned = row.tdSum, row.mrSum, row.qapMin, row.tuned
 		}
-		if len(c.notable) > 0 {
-			cd.Notable = append([]Notable(nil), c.notable...)
-			c.notable = c.notable[:0]
-		}
-		c.omitted = 0
 		entries = append(entries, cd)
 	}
 
@@ -552,7 +607,51 @@ func (l *Leaf) buildDigestsLocked(now clock.Time, rows map[string]*cohortRow) []
 		AssignVersion: l.assignVersion,
 		Cohorts:       entries,
 	}
-	return d.pack(func() uint64 { l.seq++; return l.seq }).Chunks()
+	return d.pack(kindDigest, func() uint64 { l.seq++; return l.seq }).Chunks()
+}
+
+// pushUrgent is the registry's end-of-tick hook. When the tick published
+// transitions, the cohorts they changed go out at once as urgent digests
+// (kindUrgent) instead of waiting up to an Interval for the next Rollup:
+// one row per changed cohort with its cumulative counters and drained
+// notable ring. The urgent digests go to the aggregators the periodic
+// digest routinely reaches, so an HA standby stays as fresh as the
+// leader. Coalescing per tick is the rate cap: at most one push per leaf
+// per WheelTick. The hook never blocks the wheel: with nothing queued it
+// returns at once, and while a Rollup holds the lock the queued events
+// ride that roll-up or the next tick.
+func (l *Leaf) pushUrgent(now clock.Time) {
+	if len(l.sub.C()) == 0 || l.stopped.Load() {
+		return
+	}
+	if !l.mu.TryLock() {
+		l.urgentDeferred.Add(1)
+		return
+	}
+	l.drainBusLocked()
+	var rows []CohortDigest
+	for _, c := range l.cohorts {
+		if c.dirty {
+			rows = append(rows, c.takeRow())
+		}
+	}
+	if len(rows) == 0 { // only foreign streams moved
+		l.mu.Unlock()
+		return
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Filter < rows[j].Filter })
+	d := Digest{
+		Leaf:          l.opts.ID,
+		Region:        l.opts.Region,
+		Inc:           l.opts.Incarnation,
+		SentAt:        now,
+		AssignVersion: l.assignVersion,
+		Cohorts:       rows,
+	}
+	datagrams := d.pack(kindUrgent, func() uint64 { l.urgentSeq++; return l.urgentSeq }).Chunks()
+	targets := l.routineTargetsLocked()
+	l.mu.Unlock()
+	l.urgentBytes.Add(l.send(datagrams, targets, &l.urgentSent))
 }
 
 // HandleDatagramFrom ingests one received federation datagram with its
@@ -727,5 +826,9 @@ func (l *Leaf) Counters() LeafCounters {
 		AssignVersion:  av,
 		StreamsRolled:  l.streamsRolled.Load(),
 		StreamsForeign: l.streamsForeign.Load(),
+		BusDropped:     l.sub.Dropped(),
+		UrgentSent:     l.urgentSent.Load(),
+		UrgentBytes:    l.urgentBytes.Load(),
+		UrgentDeferred: l.urgentDeferred.Load(),
 	}
 }

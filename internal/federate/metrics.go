@@ -27,6 +27,14 @@ func (l *Leaf) InstrumentMetrics(set *metrics.Set) {
 		"Digest acks received from aggregators.", l.acksReceived.Load)
 	set.CounterFunc("sfd_fed_leaf_agg_unreachable_total",
 		"Aggregator reachable→unreachable transitions (ack silence past the bound).", l.aggUnreachable.Load)
+	set.CounterFunc("sfd_fed_leaf_bus_dropped_total",
+		"Transitions the leaf's bus subscription dropped before they reached a cohort counter.", l.sub.Dropped)
+	set.CounterFunc("sfd_fed_leaf_urgent_sent_total",
+		"Urgent digests (changed cohorts, end of a wheel tick) sent to aggregators.", l.urgentSent.Load)
+	set.CounterFunc("sfd_fed_leaf_urgent_bytes_total",
+		"Bytes of urgent digests sent to aggregators.", l.urgentBytes.Load)
+	set.CounterFunc("sfd_fed_leaf_urgent_deferred_total",
+		"End-of-tick urgent pushes deferred because a roll-up held the leaf.", l.urgentDeferred.Load)
 	set.GaugeFunc("sfd_fed_leaf_aggs_reachable",
 		"Configured aggregators currently considered reachable.",
 		func() float64 { return float64(l.Counters().AggsReachable) })
@@ -66,6 +74,10 @@ func (a *Aggregator) InstrumentMetrics(set *metrics.Set) {
 		"Leaves declared offline by the liveness detector.", a.leafOfflines.Load)
 	set.CounterFunc("sfd_fed_leaf_recoveries_total",
 		"Dead leaves that resumed digesting and were re-trusted.", a.leafRecoveries.Load)
+	set.CounterFunc("sfd_fed_urgent_rows_merged_total",
+		"Urgent-digest cohort rows merged into the fleet view.", a.urgentMerged.Load)
+	set.CounterFunc("sfd_fed_urgent_stale_total",
+		"Urgent-digest cohort rows dropped: duplicate or reordered datagram, unknown leaf, or not the cohort's current owner epoch.", a.urgentStale.Load)
 	set.GaugeFunc("sfd_fed_leaves",
 		"Leaves known to the aggregator.",
 		func() float64 { return float64(a.Counters().Leaves) })

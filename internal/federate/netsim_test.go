@@ -375,9 +375,12 @@ func ownersOf(agg *Aggregator, fs []string) map[string]string {
 // MaxDigestCohorts rows by count only, and a row with a full notable
 // ring of 40-byte peers is ~1 KB, so a 256-cohort leaf made one ~270 KB
 // datagram — above UDP's 65 507-byte ceiling, where a real socket fails
-// the send (and netsim now does too). Every datagram must fit
-// wire.MaxDatagram, every send must succeed, and the union of the
-// digests must carry each cohort, ring intact, exactly once.
+// the send (and netsim now does too). The full rings now leave at the
+// end of the wheel tick that suspects their streams, as a burst of
+// urgent digests; the roll-up after it carries the state counts. Every
+// datagram must fit wire.MaxDatagram, every send must succeed, the burst
+// must be chunked, the roll-up must carry each cohort exactly once, and
+// the union of both must carry each cohort's ring, intact, exactly once.
 func TestLeafDigestsFitDatagramsWithFullNotableRings(t *testing.T) {
 	const ring = 16 // LeafOptions.MaxNotable's default
 	sim := clock.NewSim(0)
@@ -388,12 +391,9 @@ func TestLeafDigestsFitDatagramsWithFullNotableRings(t *testing.T) {
 	reg.Start()
 	defer reg.Stop()
 
-	want := make(map[string]int, MaxDigestCohorts)
 	var filters []string
 	for c := 0; c < MaxDigestCohorts; c++ {
-		f := fmt.Sprintf("r/cohort-%03d/#", c)
-		filters = append(filters, f)
-		want[f] = 0
+		filters = append(filters, fmt.Sprintf("r/cohort-%03d/#", c))
 	}
 	node, aggNode := net.AddNode("r/leaf-0", 16), net.AddNode("agg-0", 4096)
 	leaf, err := NewLeaf(node, sim, reg, "agg-0", LeafOptions{
@@ -411,30 +411,52 @@ func TestLeafDigestsFitDatagramsWithFullNotableRings(t *testing.T) {
 	leaf.Rollup(sim.Now())
 	sim.Advance(clock.Second)
 
-	if c := leaf.Counters(); c.SendErrors != 0 || c.DigestsSent < 2 {
-		t.Fatalf("send errors = %d, digests sent = %d; want 0 and a chunked round", c.SendErrors, c.DigestsSent)
+	c := leaf.Counters()
+	if c.SendErrors != 0 || c.UrgentSent < 2 || c.DigestsSent != 1 {
+		t.Fatalf("send errors = %d, urgent sent = %d, digests sent = %d; want 0, a chunked burst, and one roll-up datagram",
+			c.SendErrors, c.UrgentSent, c.DigestsSent)
 	}
 	if _, dropped := net.Stats(); dropped != 0 {
 		t.Fatalf("netsim dropped %d datagrams", dropped)
 	}
+	rings := make(map[string]int, MaxDigestCohorts)    // rows carrying a ring, urgent or periodic
+	periodic := make(map[string]int, MaxDigestCohorts) // periodic rows
+	var urgentBytes uint64
 	for _, in := range aggNode.Drain() {
 		if len(in.Payload) > wire.MaxDatagram {
-			t.Fatalf("%d-byte digest exceeds wire.MaxDatagram", len(in.Payload))
+			t.Fatalf("%d-byte datagram exceeds wire.MaxDatagram", len(in.Payload))
 		}
 		msg, err := Decode(in.Payload)
-		if err != nil || msg.Digest == nil {
-			t.Fatalf("digest does not decode: %v", err)
+		d := msg.Digest
+		if msg.Urgent != nil {
+			d = msg.Urgent
+			urgentBytes += uint64(len(in.Payload))
 		}
-		for _, row := range msg.Digest.Cohorts {
-			if len(row.Notable) != ring || row.Suspected != ring {
-				t.Fatalf("%s: %d notables, %d suspected; want %d each", row.Filter, len(row.Notable), row.Suspected, ring)
+		if err != nil || d == nil {
+			t.Fatalf("datagram does not decode as a digest: %v", err)
+		}
+		for _, row := range d.Cohorts {
+			if msg.Digest != nil {
+				if row.Suspected != ring {
+					t.Fatalf("%s: %d suspected in the roll-up, want %d", row.Filter, row.Suspected, ring)
+				}
+				periodic[row.Filter]++
 			}
-			want[row.Filter]++
+			if len(row.Notable) == 0 {
+				continue
+			}
+			if len(row.Notable) != ring || row.Suspects != ring {
+				t.Fatalf("%s: %d notables, %d suspects; want %d each", row.Filter, len(row.Notable), row.Suspects, ring)
+			}
+			rings[row.Filter]++
 		}
 	}
-	for f, n := range want {
-		if n != 1 {
-			t.Fatalf("cohort %s carried %d times, want exactly once", f, n)
+	if urgentBytes != c.UrgentBytes {
+		t.Fatalf("urgent bytes received %d, counted %d", urgentBytes, c.UrgentBytes)
+	}
+	for _, f := range filters {
+		if rings[f] != 1 || periodic[f] != 1 {
+			t.Fatalf("cohort %s: ring carried %d times, roll-up row %d times; want exactly once each", f, rings[f], periodic[f])
 		}
 	}
 }

@@ -82,6 +82,22 @@ func TestRollupVsChurnRace(t *testing.T) {
 		}
 	}()
 
+	// Wheel: each tick ends with the leaf's urgent push, which races the
+	// roll-up below for the leaf's lock and the aggregator's merge.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		clk := clock.NewReal()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reg.Tick(clk.Now())
+		}
+	}()
+
 	// Aggregator drains the hub and merges concurrently.
 	wg.Add(1)
 	go func() {
@@ -130,4 +146,5 @@ func TestRollupVsChurnRace(t *testing.T) {
 	if ac := agg.Counters(); ac.DigestsReceived == 0 {
 		t.Fatal("aggregator received no digests")
 	}
+	t.Logf("urgent: %d sent, %d deferred", lc.UrgentSent, lc.UrgentDeferred)
 }

@@ -49,8 +49,17 @@ import (
 //	aggLen(u16) agg  version(u64)  entryCount(u16)
 //	then per entry: cohortLen(u16) cohort ownerLen(u16) owner
 //
+// kindUrgent (leaf → aggregator) body: byte for byte the kindDigest
+// body. The leaf sends one at the end of a registry wheel tick that
+// published transitions for its cohorts, with a row per changed cohort:
+// its cumulative transition counters, the notables queued since the
+// last digest and Omitted (its state counts and QoS are not read). seq is
+// a per-incarnation urgent counter, separate from the digest seq.
+// Aggregators merge the rows only: an urgent digest is not a liveness
+// heartbeat and is not acked (see Aggregator.ingestUrgent).
+//
 // The aggregator-HA records (kindPeerBeat, kindMirror, kindAck) are
-// documented in wire_ha.go.
+// documented in wire_ha.go; kindUrgent is 6, after them.
 //
 // All integers big-endian; floats are IEEE-754 bit patterns. Bounded:
 // names ≤ wire.MaxNameLen bytes, a datagram ≤ wire.MaxDatagram bytes,
@@ -65,6 +74,7 @@ const (
 
 	kindDigest uint8 = 1
 	kindAssign uint8 = 2
+	kindUrgent uint8 = 6
 
 	// MaxDigestCohorts bounds one datagram's cohort rows; a leaf owning
 	// more chunks its roll-up across several digests (same seq semantics
@@ -180,12 +190,12 @@ func appendHeader(b []byte, kind uint8) []byte {
 	return append(b, wireMagic[0], wireMagic[1], wireVersion, kind)
 }
 
-// pack encodes d as one or more datagrams of at most MaxDigestCohorts
-// rows and wire.MaxDatagram bytes, each stamped with the next value of
-// seq.
-func (d Digest) pack(seq func() uint64) *wire.Chunker {
+// pack encodes d as one or more datagrams of the given kind (kindDigest
+// or kindUrgent) of at most MaxDigestCohorts rows and wire.MaxDatagram
+// bytes, each stamped with the next value of seq.
+func (d Digest) pack(kind uint8, seq func() uint64) *wire.Chunker {
 	c := wire.NewChunker(func(b []byte) []byte {
-		b = appendHeader(b, kindDigest)
+		b = appendHeader(b, kind)
 		b = wire.AppendStr(b, d.Leaf)
 		b = wire.AppendStr(b, d.Region)
 		b = wire.AppendU64(b, d.Inc)
@@ -219,7 +229,7 @@ func (d Digest) pack(seq func() uint64) *wire.Chunker {
 // error, since the leaf chunks with pack (same contract as the gossip
 // codec).
 func (d Digest) Marshal() []byte {
-	return d.pack(func() uint64 { return d.Seq }).One()
+	return d.pack(kindDigest, func() uint64 { return d.Seq }).One()
 }
 
 // appendCounters appends the state-count, transition-counter and QoS

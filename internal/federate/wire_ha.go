@@ -172,6 +172,9 @@ type Message struct {
 	PeerBeat *PeerBeat
 	Mirror   *Mirror
 	Ack      *Ack
+	// Urgent is a kindUrgent datagram: a Digest carrying only changed
+	// cohorts' counters and notables.
+	Urgent *Digest
 }
 
 // Decode decodes any federation datagram. Malformed input returns
@@ -212,6 +215,8 @@ func decode(b []byte) (msg Message, err error) {
 		msg.Mirror, err = decodeMirror(r)
 	case kindAck:
 		msg.Ack, err = decodeAck(r)
+	case kindUrgent:
+		msg.Urgent, err = decodeDigest(r)
 	default:
 		err = fmt.Errorf("kind %d", kind)
 	}

@@ -255,6 +255,12 @@ type Registry struct {
 
 	tickBuf []expiry // owned by the single wheel driver
 
+	// tickHooks is OnTick's copy-on-write hook list (nil when empty, so a
+	// registry without hooks pays one atomic load per Tick); hooksMu
+	// serializes its writers.
+	hooksMu   sync.Mutex
+	tickHooks atomic.Pointer[[]*tickHook]
+
 	// Persistence plumbing (zero when Options.StateDir is unset). The
 	// checkpointer rides in an atomic pointer so scrape-time metrics can
 	// read it regardless of Start ordering; restoreMu guards the
@@ -355,6 +361,51 @@ func (r *Registry) Tick(now clock.Time) {
 	r.tickBuf = r.wheel.advance(now, r.tickBuf[:0])
 	for _, x := range r.tickBuf {
 		r.expire(now, x)
+	}
+	if hooks := r.tickHooks.Load(); hooks != nil {
+		for _, h := range *hooks {
+			h.fn(now)
+		}
+	}
+}
+
+// tickHook is one OnTick callback; a pointer, so removal finds it by
+// identity.
+type tickHook struct{ fn func(clock.Time) }
+
+// OnTick installs fn to run at the end of every Tick, after every
+// transition that tick fired has been published, on whichever goroutine
+// drives Tick: the wheel driver, a clock.Sim callback, or a caller
+// stepping Tick by hand. fn must return quickly and must not call Tick.
+// The returned func removes the hook; calling it again is a no-op.
+func (r *Registry) OnTick(fn func(now clock.Time)) (remove func()) {
+	h := &tickHook{fn: fn}
+	r.setHooks(func(cur []*tickHook) []*tickHook { return append(cur[:len(cur):len(cur)], h) })
+	return func() {
+		r.setHooks(func(cur []*tickHook) []*tickHook {
+			next := make([]*tickHook, 0, len(cur))
+			for _, x := range cur {
+				if x != h {
+					next = append(next, x)
+				}
+			}
+			return next
+		})
+	}
+}
+
+// setHooks publishes edit's copy of the hook list.
+func (r *Registry) setHooks(edit func(cur []*tickHook) []*tickHook) {
+	r.hooksMu.Lock()
+	defer r.hooksMu.Unlock()
+	var cur []*tickHook
+	if p := r.tickHooks.Load(); p != nil {
+		cur = *p
+	}
+	if next := edit(cur); len(next) > 0 {
+		r.tickHooks.Store(&next)
+	} else {
+		r.tickHooks.Store(nil)
 	}
 }
 
