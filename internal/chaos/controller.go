@@ -43,14 +43,6 @@ type armed struct {
 	until clock.Time // 0 = indefinite
 }
 
-// afterFuncer is satisfied by clock.Sim; under a simulated clock all
-// chaos scheduling (delayed deliveries, scenario steps) runs as
-// deterministic timer callbacks, the same pattern the registry wheel and
-// gossip rounds use.
-type afterFuncer interface {
-	AfterFunc(clock.Duration, func(clock.Time))
-}
-
 // Controller owns the impairment set, the seeded randomness, and the
 // injection log shared by every Endpoint wrapped through it. Arm,
 // Disarm, and Play may be called at runtime while traffic flows; all
@@ -345,21 +337,15 @@ func (c *Controller) Scenario() string {
 	return c.scenario
 }
 
-// schedule runs fn after d: a deterministic timer callback under
-// clock.Sim, a goroutine under the real clock.
+// schedule runs fn after d (see clock.AfterFunc): a deterministic timer
+// callback under clock.Sim, so delayed deliveries and scenario steps
+// replay exactly.
 func (c *Controller) schedule(d clock.Duration, fn func()) {
 	if d <= 0 {
 		fn()
 		return
 	}
-	if af, ok := c.clk.(afterFuncer); ok {
-		af.AfterFunc(d, func(clock.Time) { fn() })
-		return
-	}
-	go func() {
-		c.clk.Sleep(d)
-		fn()
-	}()
+	clock.AfterFunc(c.clk, d, func(clock.Time) { fn() })
 }
 
 // verdict is one datagram's injection outcome.

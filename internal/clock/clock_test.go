@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,5 +238,182 @@ func TestSimManyWaitersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// afterClock is a Clock with only Now/After/Sleep, the shape of an
+// embedder's clock. Each After call hands its channel to the test on
+// calls; the test fires it with wake.
+type afterClock struct {
+	calls chan chan Time
+	n     atomic.Int64 // After calls so far
+}
+
+func newAfterClock() *afterClock { return &afterClock{calls: make(chan chan Time, 16)} }
+
+func (c *afterClock) Now() Time      { return 0 }
+func (c *afterClock) Sleep(Duration) { panic("afterClock: Sleep") }
+func (c *afterClock) After(Duration) <-chan Time {
+	c.n.Add(1)
+	ch := make(chan Time, 1)
+	c.calls <- ch
+	return ch
+}
+
+// wake waits for the next After call and fires it at the given instant.
+func (c *afterClock) wake(t *testing.T, at Time) {
+	t.Helper()
+	recv(t, c.calls) <- at
+}
+
+// recv returns the next value on ch, failing the test if none comes.
+func recv[T any](t *testing.T, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting on a channel")
+		panic("unreachable")
+	}
+}
+
+// assertStopWaits stops l while its fn is parked until release is closed
+// and checks that Stop returns only after fn has.
+func assertStopWaits(t *testing.T, l *Loop, release chan struct{}, returned *atomic.Bool) {
+	t.Helper()
+	stopped := make(chan bool)
+	go func() {
+		l.Stop()
+		stopped <- returned.Load()
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while fn was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if !recv(t, stopped) {
+		t.Fatal("Stop returned before fn did")
+	}
+}
+
+// parkedFn returns an fn that runs once, signalling entered and then
+// waiting for release, and the flag it sets on return.
+func parkedFn() (fn func(Time), entered, release chan struct{}, returned *atomic.Bool) {
+	entered, release, returned = make(chan struct{}), make(chan struct{}), new(atomic.Bool)
+	return func(Time) {
+		close(entered) // a second call panics
+		<-release
+		returned.Store(true)
+	}, entered, release, returned
+}
+
+func TestLoopSimFiresEveryPeriod(t *testing.T) {
+	s := NewSim(0)
+	var l Loop
+	var got []Time
+	l.Every(s, 10*Millisecond, func(now Time) { got = append(got, now) })
+	s.Advance(35 * Millisecond)
+	if want := []Time{Time(10 * Millisecond), Time(20 * Millisecond), Time(30 * Millisecond)}; len(got) != 3 ||
+		got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("fires at %v, want %v", got, want)
+	}
+	l.Stop()
+	l.Stop() // idempotent
+	s.Advance(100 * Millisecond)
+	if len(got) != 3 {
+		t.Fatalf("fired after Stop: %v", got)
+	}
+	if s.PendingWaiters() != 0 {
+		t.Fatalf("%d waiters left after the stopped chain fired", s.PendingWaiters())
+	}
+}
+
+func TestLoopSimStopBeforeEvery(t *testing.T) {
+	s := NewSim(0)
+	var l Loop
+	l.Stop()
+	fired := 0
+	l.Every(s, 10*Millisecond, func(Time) { fired++ })
+	s.Advance(100 * Millisecond)
+	if fired != 0 {
+		t.Fatalf("a Loop stopped before Every fired %d times", fired)
+	}
+}
+
+func TestLoopSimStopWaitsForFn(t *testing.T) {
+	s := NewSim(0)
+	var l Loop
+	fn, entered, release, returned := parkedFn()
+	l.Every(s, Second, fn)
+	go s.Advance(Second) // fn runs inside Advance, on that goroutine
+	recv(t, entered)
+	assertStopWaits(t, &l, release, returned)
+}
+
+func TestLoopAfterClockPassesFireTime(t *testing.T) {
+	c := newAfterClock()
+	var l Loop
+	got := make(chan Time, 1)
+	l.Every(c, Second, func(now Time) { got <- now })
+	defer l.Stop()
+	for _, at := range []Time{7, 19, 23} {
+		c.wake(t, at)
+		if now := recv(t, got); now != at {
+			t.Fatalf("fn got %v, want the After fire time %v", now, at)
+		}
+	}
+}
+
+// TestLoopAfterClockOneAfterPerWake pins the cadence an uncancellable
+// After needs: every extra call would leave a goroutine behind.
+func TestLoopAfterClockOneAfterPerWake(t *testing.T) {
+	c := newAfterClock()
+	var l Loop
+	ran := make(chan struct{}, 1)
+	l.Every(c, Second, func(Time) { ran <- struct{}{} })
+	const wakes = 5
+	for i := 0; i < wakes; i++ {
+		c.wake(t, Time(i+1))
+		recv(t, ran)
+	}
+	recv(t, c.calls) // the wait for the next wake
+	l.Stop()
+	if n := c.n.Load(); n != wakes+1 {
+		t.Fatalf("%d After calls for %d wakes, want %d", n, wakes, wakes+1)
+	}
+}
+
+func TestLoopAfterClockStopWaitsForFn(t *testing.T) {
+	c := newAfterClock()
+	var l Loop
+	fn, entered, release, returned := parkedFn()
+	l.Every(c, Second, fn)
+	c.wake(t, 1)
+	recv(t, entered)
+	assertStopWaits(t, &l, release, returned)
+}
+
+func TestAfterFuncFiresOnceSim(t *testing.T) {
+	s := NewSim(0)
+	var got []Time
+	AfterFunc(s, 10*Millisecond, func(now Time) { got = append(got, now) })
+	s.Advance(100 * Millisecond)
+	if len(got) != 1 || got[0] != Time(10*Millisecond) {
+		t.Fatalf("fires at %v, want [10ms]", got)
+	}
+}
+
+func TestAfterFuncFiresOnceAfterClock(t *testing.T) {
+	c := newAfterClock()
+	got := make(chan Time, 2)
+	AfterFunc(c, Second, func(now Time) { got <- now })
+	c.wake(t, 42)
+	if now := recv(t, got); now != 42 {
+		t.Fatalf("fn got %v, want 42", now)
+	}
+	if n := c.n.Load(); n != 1 || len(got) != 0 {
+		t.Fatalf("%d After calls, %d extra fires; want 1 and 0", n, len(got))
 	}
 }

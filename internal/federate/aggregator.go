@@ -296,7 +296,7 @@ type Aggregator struct {
 
 	started atomic.Bool
 	stopped atomic.Bool
-	stopc   chan struct{}
+	loop    clock.Loop // the round loop
 }
 
 // NewAggregator builds an Aggregator serving the fleet over ep. A nil
@@ -323,7 +323,6 @@ func NewAggregator(ep gossip.Endpoint, clk clock.Clock, opts AggregatorOptions) 
 		leaves:   make(map[string]*leafState),
 		cohorts:  make(map[string]*cohortMerge),
 		peers:    make(map[string]*peerState),
-		stopc:    make(chan struct{}),
 	}
 	if a.haMode() {
 		// Start deferent: follow an established peer until caught up (or
@@ -358,17 +357,14 @@ func (a *Aggregator) Start() {
 	a.startedAt = a.clk.Now()
 	a.mu.Unlock()
 	a.liveness.Start()
-	if af, ok := a.clk.(afterFuncer); ok {
-		a.armSim(af)
-		return
-	}
-	go a.runReal()
+	a.loop.Every(a.clk, a.roundPeriod(), a.Round)
 }
 
-// Stop halts the round loop and the liveness registry.
+// Stop halts the round loop, waiting out a round in flight, and the
+// liveness registry.
 func (a *Aggregator) Stop() {
 	if a.stopped.CompareAndSwap(false, true) {
-		close(a.stopc)
+		a.loop.Stop()
 		a.sub.Close()
 		a.liveness.Stop()
 	}
@@ -383,27 +379,6 @@ func (a *Aggregator) roundPeriod() clock.Duration {
 		return p
 	}
 	return a.opts.DigestInterval
-}
-
-func (a *Aggregator) armSim(af afterFuncer) {
-	af.AfterFunc(a.roundPeriod(), func(now clock.Time) {
-		if a.stopped.Load() {
-			return
-		}
-		a.Round(now)
-		a.armSim(af)
-	})
-}
-
-func (a *Aggregator) runReal() {
-	for {
-		select {
-		case <-a.stopc:
-			return
-		case now := <-a.clk.After(a.roundPeriod()):
-			a.Round(now)
-		}
-	}
 }
 
 // Round executes one maintenance round at instant now: reconcile HA

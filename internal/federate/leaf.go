@@ -208,7 +208,7 @@ type Leaf struct {
 
 	started atomic.Bool
 	stopped atomic.Bool
-	stopc   chan struct{}
+	loop    clock.Loop // the roll-up loop
 }
 
 // NewLeaf builds a Leaf that rolls reg's streams up to the aggregator at
@@ -252,7 +252,6 @@ func NewLeaf(ep gossip.Endpoint, clk clock.Clock, reg *registry.Registry, agg st
 		aggs:    aggs,
 		opts:    opts,
 		cohorts: make(map[string]*cohortState, len(opts.Cohorts)),
-		stopc:   make(chan struct{}),
 		sub:     reg.Subscribe(opts.BusBuf),
 	}
 	for _, f := range opts.Cohorts {
@@ -303,52 +302,21 @@ func (l *Leaf) AssignVersion() uint64 {
 	return l.assignVersion
 }
 
-// afterFuncer is satisfied by clock.Sim (same pattern as the registry
-// wheel driver and the gossip round loop).
-type afterFuncer interface {
-	AfterFunc(clock.Duration, func(clock.Time))
-}
-
 // Start launches the roll-up loop. Idempotent.
 func (l *Leaf) Start() {
 	if !l.started.CompareAndSwap(false, true) {
 		return
 	}
-	if af, ok := l.clk.(afterFuncer); ok {
-		l.armSim(af)
-		return
-	}
-	go l.runReal()
+	l.loop.Every(l.clk, l.opts.Interval, l.Rollup)
 }
 
-// Stop halts the roll-up loop and urgent pushes and detaches from the
-// registry.
+// Stop halts the roll-up loop, waiting out a roll-up in flight, and
+// urgent pushes, and detaches from the registry.
 func (l *Leaf) Stop() {
 	if l.stopped.CompareAndSwap(false, true) {
-		close(l.stopc)
+		l.loop.Stop()
 		l.unhook()
 		l.sub.Close()
-	}
-}
-
-func (l *Leaf) armSim(af afterFuncer) {
-	af.AfterFunc(l.opts.Interval, func(now clock.Time) {
-		if l.stopped.Load() {
-			return
-		}
-		l.Rollup(now)
-		l.armSim(af)
-	})
-}
-
-func (l *Leaf) runReal() {
-	for {
-		select {
-		case <-l.stopc:
-			return
-		case now := <-l.clk.After(l.opts.Interval):
-			l.Rollup(now)
-		}
 	}
 }
 

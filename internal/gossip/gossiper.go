@@ -141,7 +141,7 @@ type Gossiper struct {
 
 	started atomic.Bool
 	stopped atomic.Bool
-	stopc   chan struct{}
+	loop    clock.Loop // the round loop
 }
 
 // New builds a Gossiper for the monitor owning reg, gossiping over ep
@@ -177,7 +177,6 @@ func New(ep Endpoint, clk clock.Clock, reg *registry.Registry, peers []string, o
 		verdict:  make(map[string]State),
 		episodes: make(map[string]struct{}),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
-		stopc:    make(chan struct{}),
 		sub:      reg.Subscribe(4096),
 	}
 	// Persistence wiring: contribute this gossiper's tables to the
@@ -198,13 +197,6 @@ func (g *Gossiper) Peers() []string { return append([]string(nil), g.peers...) }
 // Options returns the effective configuration after defaulting.
 func (g *Gossiper) Options() Options { return g.opts }
 
-// afterFuncer is satisfied by clock.Sim; under a simulated clock the
-// round loop is a deterministic timer-callback chain (same pattern as
-// the registry's wheel driver).
-type afterFuncer interface {
-	AfterFunc(clock.Duration, func(clock.Time))
-}
-
 // Start launches the anti-entropy round loop. Idempotent.
 func (g *Gossiper) Start() {
 	if !g.started.CompareAndSwap(false, true) {
@@ -215,39 +207,15 @@ func (g *Gossiper) Start() {
 	// restored record is still waiting. Claim is one-shot and a nil
 	// import is a no-op, so claiming in both places is safe.
 	g.ImportState(g.reg.ClaimRestoredGossip(), g.clk.Now())
-	if af, ok := g.clk.(afterFuncer); ok {
-		g.armSim(af)
-		return
-	}
-	go g.runReal()
+	g.loop.Every(g.clk, g.opts.Interval, g.Round)
 }
 
-// Stop halts the round loop and detaches from the registry bus.
+// Stop halts the round loop, waiting out a round in flight, and detaches
+// from the registry bus.
 func (g *Gossiper) Stop() {
 	if g.stopped.CompareAndSwap(false, true) {
-		close(g.stopc)
+		g.loop.Stop()
 		g.sub.Close()
-	}
-}
-
-func (g *Gossiper) armSim(af afterFuncer) {
-	af.AfterFunc(g.opts.Interval, func(now clock.Time) {
-		if g.stopped.Load() {
-			return
-		}
-		g.Round(now)
-		g.armSim(af)
-	})
-}
-
-func (g *Gossiper) runReal() {
-	for {
-		select {
-		case <-g.stopc:
-			return
-		case now := <-g.clk.After(g.opts.Interval):
-			g.Round(now)
-		}
 	}
 }
 

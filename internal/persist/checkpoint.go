@@ -39,13 +39,6 @@ func (o *CheckpointOptions) normalize() {
 	}
 }
 
-// afterFuncer is satisfied by clock.Sim; under a simulated clock the
-// checkpointer runs as deterministic timer callbacks instead of a
-// goroutine (same pattern as the registry's wheel driver).
-type afterFuncer interface {
-	AfterFunc(clock.Duration, func(clock.Time))
-}
-
 // Checkpointer drives the Store on a cadence: periodic full snapshots,
 // periodic delta flushes, and size-triggered journal rotation. It pulls
 // state through two callbacks supplied by the owner (the registry) so it
@@ -68,8 +61,7 @@ type Checkpointer struct {
 
 	started atomic.Bool
 	stopped atomic.Bool
-	stopc   chan struct{}
-	done    chan struct{}
+	loop    clock.Loop // the cadence
 
 	// Counters are maintained unconditionally (they are cheap and only
 	// touched on checkpoint cadence, not ingest); InstrumentMetrics
@@ -94,61 +86,30 @@ func NewCheckpointer(clk clock.Clock, store *Store, full func(clock.Time) *Snaps
 		opts:  opts,
 		full:  full,
 		drain: drain,
-		stopc: make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 }
 
-// Start begins the checkpoint cadence: under clock.Sim as simulated
-// timer callbacks, otherwise as one goroutine. Idempotent.
+// Start begins the checkpoint cadence, a clock.Loop calling tick every
+// FlushInterval. Idempotent.
 func (c *Checkpointer) Start() {
 	if !c.started.CompareAndSwap(false, true) {
 		return
 	}
-	if af, ok := c.clk.(afterFuncer); ok {
-		c.armSim(af)
-		close(c.done) // no goroutine to wait for
-		return
-	}
-	go c.run()
+	c.loop.Every(c.clk, c.opts.FlushInterval, c.tick)
 }
 
-// Stop halts the cadence and writes a final full snapshot (the shutdown
-// flush), so a graceful exit restores exactly. Idempotent.
+// Stop halts the cadence, waiting out a tick in flight, and writes a
+// final full snapshot (the shutdown flush), so a graceful exit restores
+// exactly; nothing is written after it. Idempotent.
 func (c *Checkpointer) Stop() {
 	if !c.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	close(c.stopc)
-	if c.started.Load() {
-		<-c.done
-	}
+	c.loop.Stop()
 	c.Checkpoint()
 	c.mu.Lock()
 	c.store.Close()
 	c.mu.Unlock()
-}
-
-func (c *Checkpointer) armSim(af afterFuncer) {
-	af.AfterFunc(c.opts.FlushInterval, func(now clock.Time) {
-		if c.stopped.Load() {
-			return
-		}
-		c.tick(now)
-		c.armSim(af)
-	})
-}
-
-func (c *Checkpointer) run() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.stopc:
-			return
-		case now := <-c.clk.After(c.opts.FlushInterval):
-			c.tick(now)
-		}
-	}
 }
 
 // tick is one cadence step: flush deltas, rotate if the journal is over

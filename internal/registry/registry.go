@@ -194,13 +194,6 @@ type stater interface {
 	Response() string
 }
 
-// afterFuncer is satisfied by clock.Sim; when the registry runs on a
-// simulated clock it drives the wheel through deterministic timer
-// callbacks instead of a goroutine.
-type afterFuncer interface {
-	AfterFunc(clock.Duration, func(clock.Time))
-}
-
 // Registry is the sharded fleet monitor. All methods are safe for
 // concurrent use.
 type Registry struct {
@@ -251,7 +244,7 @@ type Registry struct {
 
 	started atomic.Bool
 	stopped atomic.Bool
-	stopc   chan struct{}
+	loop    clock.Loop // the wheel driver
 
 	tickBuf []expiry // owned by the single wheel driver
 
@@ -294,7 +287,6 @@ func New(clk clock.Clock, factory Factory, opts Options) *Registry {
 		shardMask: uint32(opts.Shards - 1),
 		wheel:     newTimerWheel(opts.WheelTick, clk.Now()),
 		bus:       NewBus(),
-		stopc:     make(chan struct{}),
 	}
 	for i := range r.shards {
 		r.shards[i] = newShard()
@@ -305,51 +297,25 @@ func New(clk clock.Clock, factory Factory, opts Options) *Registry {
 // Options returns the effective configuration after defaulting.
 func (r *Registry) Options() Options { return r.opts }
 
-// Start launches the timer-wheel driver. Under the real clock this is a
-// goroutine waking every WheelTick; under clock.Sim it is a chain of
-// simulated timer callbacks, so deterministic tests drive transitions by
-// advancing the clock. Start is idempotent.
+// Start launches the timer-wheel driver, a clock.Loop calling Tick every
+// WheelTick (under clock.Sim, inside Advance). Start is idempotent.
 func (r *Registry) Start() {
 	if !r.started.CompareAndSwap(false, true) {
 		return
 	}
 	r.startPersist()
-	if af, ok := r.clk.(afterFuncer); ok {
-		r.armSim(af)
-		return
-	}
-	go r.runReal()
+	r.loop.Every(r.clk, r.opts.WheelTick, r.Tick)
 }
 
-// Stop halts the wheel driver and, when persistence is enabled, flushes
-// a final full snapshot (the graceful-shutdown guarantee: a clean exit
-// restores exactly). Streams and subscriptions survive; Tick can still
-// be called manually.
+// Stop halts the wheel driver, waiting out a Tick it has in flight, and,
+// when persistence is enabled, flushes a final full snapshot (the
+// graceful-shutdown guarantee: a clean exit restores exactly). Streams
+// and subscriptions survive; Tick can still be called manually. Stop must
+// not be called from an OnTick hook.
 func (r *Registry) Stop() {
 	if r.stopped.CompareAndSwap(false, true) {
-		close(r.stopc)
+		r.loop.Stop()
 		r.stopPersist()
-	}
-}
-
-func (r *Registry) armSim(af afterFuncer) {
-	af.AfterFunc(r.opts.WheelTick, func(now clock.Time) {
-		if r.stopped.Load() {
-			return
-		}
-		r.Tick(now)
-		r.armSim(af)
-	})
-}
-
-func (r *Registry) runReal() {
-	for {
-		select {
-		case <-r.stopc:
-			return
-		case now := <-r.clk.After(r.opts.WheelTick):
-			r.Tick(now)
-		}
 	}
 }
 
