@@ -247,14 +247,16 @@ func TestSimManyWaitersProperty(t *testing.T) {
 type afterClock struct {
 	calls chan chan Time
 	n     atomic.Int64 // After calls so far
+	last  atomic.Int64 // the delay the latest After call asked for
 }
 
 func newAfterClock() *afterClock { return &afterClock{calls: make(chan chan Time, 16)} }
 
 func (c *afterClock) Now() Time      { return 0 }
 func (c *afterClock) Sleep(Duration) { panic("afterClock: Sleep") }
-func (c *afterClock) After(Duration) <-chan Time {
+func (c *afterClock) After(d Duration) <-chan Time {
 	c.n.Add(1)
+	c.last.Store(int64(d))
 	ch := make(chan Time, 1)
 	c.calls <- ch
 	return ch
@@ -416,4 +418,126 @@ func TestAfterFuncFiresOnceAfterClock(t *testing.T) {
 	if n := c.n.Load(); n != 1 || len(got) != 0 {
 		t.Fatalf("%d After calls, %d extra fires; want 1 and 0", n, len(got))
 	}
+}
+
+// delays returns an fn for Run that records each call's instant and
+// returns the given delays in turn (then the last one forever).
+func delays(got *[]Time, ds ...Duration) func(Time) Duration {
+	return func(now Time) Duration {
+		*got = append(*got, now)
+		return ds[min(len(*got), len(ds))-1]
+	}
+}
+
+func TestLoopRunSimFiresAtReturnedDelays(t *testing.T) {
+	s := NewSim(0)
+	var l Loop
+	var got []Time
+	l.Run(s, 10*Millisecond, delays(&got, 3*Millisecond, 7*Millisecond, Millisecond, 20*Millisecond))
+	s.Advance(45 * Millisecond)
+	want := []Time{10, 13, 20, 21, 41}
+	if len(got) != len(want) {
+		t.Fatalf("fires at %v, want %v ms", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i]*Time(Millisecond) {
+			t.Fatalf("fires at %v, want %v ms", got, want)
+		}
+	}
+	l.Stop()
+	s.Advance(100 * Millisecond)
+	if len(got) != len(want) || s.PendingWaiters() != 0 {
+		t.Fatalf("fired after Stop (%d fires) or left %d waiters", len(got), s.PendingWaiters())
+	}
+}
+
+// TestLoopRunClampsNonPositiveDelay: a delay ≤ 0 is taken as d, so fn
+// cannot spin at one simulated instant.
+func TestLoopRunClampsNonPositiveDelay(t *testing.T) {
+	for _, ret := range []Duration{0, -Second} {
+		s := NewSim(0)
+		var l Loop
+		var got []Time
+		l.Run(s, 10*Millisecond, delays(&got, ret))
+		s.Advance(35 * Millisecond)
+		l.Stop()
+		if len(got) != 3 || got[0] != Time(10*Millisecond) || got[2] != Time(30*Millisecond) {
+			t.Fatalf("fn returning %v: fires at %v, want every 10ms", ret, got)
+		}
+	}
+	c := newAfterClock()
+	var l Loop
+	ran := make(chan struct{}, 1)
+	l.Run(c, Second, func(Time) Duration { ran <- struct{}{}; return 0 })
+	c.wake(t, 1)
+	recv(t, ran)
+	recv(t, c.calls)
+	l.Stop()
+	if d := Duration(c.last.Load()); d != Second {
+		t.Fatalf("After(%v) after fn returned 0, want After(%v)", d, Second)
+	}
+}
+
+// TestLoopRunAfterClockOneAfterPerWake: one After per wake, each asking
+// for the delay fn returned.
+func TestLoopRunAfterClockOneAfterPerWake(t *testing.T) {
+	c := newAfterClock()
+	var l Loop
+	ran := make(chan struct{}, 1)
+	next := []Duration{3 * Millisecond, 9 * Millisecond, Millisecond, 4 * Millisecond}
+	i := 0
+	l.Run(c, Second, func(Time) Duration { d := next[i]; i++; ran <- struct{}{}; return d })
+	first := recv(t, c.calls)
+	if d := Duration(c.last.Load()); d != Second {
+		t.Fatalf("first After(%v), want After(%v)", d, Second)
+	}
+	first <- 1
+	for w := range next {
+		recv(t, ran)
+		ch := recv(t, c.calls)
+		if d := Duration(c.last.Load()); d != next[w] {
+			t.Fatalf("wake %d: After(%v), want the returned %v", w, d, next[w])
+		}
+		if w < len(next)-1 {
+			ch <- Time(w + 2)
+		}
+	}
+	l.Stop()
+	if n := c.n.Load(); n != int64(len(next)+1) {
+		t.Fatalf("%d After calls for %d wakes, want %d", n, len(next), len(next)+1)
+	}
+}
+
+func TestLoopRunStopContract(t *testing.T) {
+	t.Run("before Run", func(t *testing.T) {
+		s := NewSim(0)
+		var l Loop
+		l.Stop()
+		fired := 0
+		l.Run(s, 10*Millisecond, func(Time) Duration { fired++; return Millisecond })
+		s.Advance(100 * Millisecond)
+		c := newAfterClock()
+		l.Run(c, Second, func(Time) Duration { fired++; return Second })
+		if fired != 0 || c.n.Load() != 0 {
+			t.Fatalf("a Loop stopped before Run fired %d times, made %d After calls", fired, c.n.Load())
+		}
+	})
+	t.Run("sim waits for fn", func(t *testing.T) {
+		s := NewSim(0)
+		var l Loop
+		fn, entered, release, returned := parkedFn()
+		l.Run(s, Second, func(now Time) Duration { fn(now); return Second })
+		go s.Advance(Second)
+		recv(t, entered)
+		assertStopWaits(t, &l, release, returned)
+	})
+	t.Run("after clock waits for fn", func(t *testing.T) {
+		c := newAfterClock()
+		var l Loop
+		fn, entered, release, returned := parkedFn()
+		l.Run(c, Second, func(now Time) Duration { fn(now); return Second })
+		c.wake(t, 1)
+		recv(t, entered)
+		assertStopWaits(t, &l, release, returned)
+	})
 }

@@ -24,14 +24,17 @@ func AfterFunc(c Clock, d Duration, fn func(Time)) {
 	go func() { fn(<-c.After(d)) }()
 }
 
-// Loop calls a function every period on a Clock. The zero value is ready
-// to use. Call Every at most once; a stopped Loop stays stopped.
+// Loop calls a function repeatedly on a Clock: every period (Every), or
+// after whatever delay each call returns (Run). The zero value is ready to
+// use. Start it at most once; a stopped Loop stays stopped.
 //
-// Under Sim the loop is a callback chain: Every arms the first callback
-// and each fire re-arms after fn returns, so fn runs inside Advance at d,
-// 2d, … of simulated time. Under any other Clock one goroutine waits on
-// c.After(d), calls fn with the fire time and waits again: the period is
-// d plus fn's run time, with exactly one After per wake.
+// Under Sim the loop is a callback chain: the first callback is armed at
+// start and each fire re-arms after fn returns, so fn runs inside Advance
+// at exactly the instants it asked for. Under any other Clock one
+// goroutine waits on c.After(delay), calls fn with the fire time and
+// waits again, with exactly one After per wake: an embedder's After may
+// be an uncancellable goroutine, so the loop never arms one it might
+// abandon.
 type Loop struct {
 	mu      sync.Mutex
 	stopped bool
@@ -39,10 +42,24 @@ type Loop struct {
 	running sync.WaitGroup // the goroutine, and an fn in flight on either branch
 }
 
-// Every starts calling fn(now) every d on c.
+// Every starts calling fn(now) every d on c: at d, 2d, … under Sim;
+// elsewhere the period is d plus fn's run time.
 func (l *Loop) Every(c Clock, d Duration, fn func(Time)) {
+	l.Run(c, d, func(now Time) Duration { fn(now); return d })
+}
+
+// Run starts calling fn(now) on c, first d after now and then after each
+// delay fn returns. A returned delay ≤ 0 is taken as d, so a loop can
+// never spin at one instant inside Sim's Advance.
+func (l *Loop) Run(c Clock, d Duration, fn func(Time) Duration) {
+	clamped := func(now Time) Duration {
+		if delay := fn(now); delay > 0 {
+			return delay
+		}
+		return d
+	}
 	if af := callbacks(c); af != nil {
-		l.arm(af, d, fn)
+		l.arm(af, d, clamped)
 		return
 	}
 	l.mu.Lock()
@@ -52,50 +69,50 @@ func (l *Loop) Every(c Clock, d Duration, fn func(Time)) {
 	}
 	l.quit = make(chan struct{})
 	l.running.Add(1)
-	go l.run(c, d, fn, l.quit)
+	go l.run(c, d, clamped, l.quit)
 }
 
-func (l *Loop) arm(af func(Duration, func(Time)), d Duration, fn func(Time)) {
-	af(d, func(now Time) {
-		if l.call(fn, now) {
-			l.arm(af, d, fn)
+func (l *Loop) arm(af func(Duration, func(Time)), delay Duration, fn func(Time) Duration) {
+	af(delay, func(now Time) {
+		if next, ok := l.call(fn, now); ok {
+			l.arm(af, next, fn)
 		}
 	})
 }
 
-func (l *Loop) run(c Clock, d Duration, fn func(Time), quit <-chan struct{}) {
+func (l *Loop) run(c Clock, delay Duration, fn func(Time) Duration, quit <-chan struct{}) {
 	defer l.running.Done()
 	for {
 		select {
 		case <-quit:
 			return
-		case now := <-c.After(d):
-			if !l.call(fn, now) {
+		case now := <-c.After(delay):
+			var ok bool
+			if delay, ok = l.call(fn, now); !ok {
 				return
 			}
 		}
 	}
 }
 
-// call runs fn(now) unless the loop has stopped, and reports whether it
-// ran.
-func (l *Loop) call(fn func(Time), now Time) bool {
+// call runs fn(now) unless the loop has stopped, and reports fn's delay
+// and whether it ran.
+func (l *Loop) call(fn func(Time) Duration, now Time) (Duration, bool) {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		return false
+		return 0, false
 	}
 	l.running.Add(1)
 	l.mu.Unlock()
 	defer l.running.Done()
-	fn(now)
-	return true
+	return fn(now), true
 }
 
 // Stop ends the loop. Once it returns no fn is running and none will
 // start, on either branch, and the goroutine (if any) has exited. Stop is
-// idempotent and safe to call before Every. It waits for an in-flight fn,
-// so it must not be called from inside fn.
+// idempotent and safe to call before Every or Run. It waits for an
+// in-flight fn, so it must not be called from inside fn.
 func (l *Loop) Stop() {
 	l.mu.Lock()
 	l.stopped = true

@@ -584,10 +584,10 @@ func (l *Leaf) buildDigestsLocked(now clock.Time, rows map[string]*cohortRow) []
 // one row per changed cohort with its cumulative counters and drained
 // notable ring. The urgent digests go to the aggregators the periodic
 // digest routinely reaches, so an HA standby stays as fresh as the
-// leader. Coalescing per tick is the rate cap: at most one push per leaf
-// per WheelTick. The hook never blocks the wheel: with nothing queued it
-// returns at once, and while a Rollup holds the lock the queued events
-// ride that roll-up or the next tick.
+// leader. Coalescing per Tick is the rate cap: at most one push per leaf
+// per registry driver wake. The hook never blocks the wheel: with nothing
+// queued it returns at once, and while a Rollup holds the lock the queued
+// events ride that roll-up or the next tick.
 func (l *Leaf) pushUrgent(now clock.Time) {
 	if len(l.sub.C()) == 0 || l.stopped.Load() {
 		return

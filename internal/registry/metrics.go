@@ -58,6 +58,12 @@ func (r *Registry) Metrics() *metrics.Set {
 		set.GaugeFunc("sfd_registry_wheel_entries",
 			"Live timer-wheel entries, including lazily-invalidated ones.",
 			func() float64 { return float64(r.wheel.len()) })
+		set.CounterFunc(metrics.Name("sfd_registry_driver_wakes_total", "kind", "coarse"),
+			"Wheel driver wakes, on a WheelTick boundary (coarse) or for a looked-ahead deadline (fine).",
+			r.coarseWakes.Load)
+		set.CounterFunc(metrics.Name("sfd_registry_driver_wakes_total", "kind", "fine"), "", r.fineWakes.Load)
+		r.lateness.Store(set.Histogram("sfd_registry_driver_lateness_seconds",
+			"Wheel driver wake instant minus the instant it planned to wake at.", nil))
 		set.GaugeFunc("sfd_registry_bus_subscribers",
 			"Current failure-event bus subscribers.",
 			func() float64 { return float64(r.bus.Subscribers()) })

@@ -40,8 +40,11 @@ type Options struct {
 	// Shards is the number of lock stripes, rounded up to a power of two
 	// (default 16).
 	Shards int
-	// WheelTick is the timer-wheel granularity — transitions fire within
-	// one tick of their deadline (default 10 ms).
+	// WheelTick is the timer-wheel granularity and the period of the
+	// driver's coarse wakes (default 10 ms). A transition fires within
+	// 1 ms (or one tick, if shorter) after its deadline, and never before
+	// it; a deadline moved earlier into the tick the wheel has already
+	// looked ahead over fires within one tick.
 	WheelTick clock.Duration
 	// BusyLevel and SuspectLevel are the accrual suspicion levels (for
 	// detectors implementing detector.Accrual; binary detectors map
@@ -182,6 +185,8 @@ type Counters struct {
 	WatchConns    int    `json:"watch_conns"`     // live /watch connections
 	Streams       int    `json:"streams"`         // currently registered streams
 	WheelEntries  int    `json:"wheel_entries"`   // live wheel entries (incl. stale)
+	CoarseWakes   uint64 `json:"coarse_wakes"`    // driver wakes on a WheelTick boundary
+	FineWakes     uint64 `json:"fine_wakes"`      // driver wakes for a looked-ahead deadline
 	Subscribers   int    `json:"bus_subscribers"` // current subscribers (firehose + topic)
 	TopicSubs     int    `json:"topic_subscriptions"`
 	TrieNodes     int    `json:"fanout_trie_nodes"`
@@ -246,7 +251,18 @@ type Registry struct {
 	stopped atomic.Bool
 	loop    clock.Loop // the wheel driver
 
-	tickBuf []expiry // owned by the single wheel driver
+	// Owned by whoever drives Tick (never two at once): the wheel's due
+	// entries, the fine heap of looked-ahead deadlines, the wheel's
+	// reached instant as of the last Tick, and the driver's planned wake.
+	tickBuf       []expiry
+	fine          fineHeap
+	reached       clock.Time
+	planned       clock.Time
+	plannedCoarse bool
+
+	coarseWakes atomic.Uint64
+	fineWakes   atomic.Uint64
+	lateness    atomic.Pointer[metrics.Histogram] // set once Metrics() has built it
 
 	// tickHooks is OnTick's copy-on-write hook list (nil when empty, so a
 	// registry without hooks pays one atomic load per Tick); hooksMu
@@ -297,14 +313,44 @@ func New(clk clock.Clock, factory Factory, opts Options) *Registry {
 // Options returns the effective configuration after defaulting.
 func (r *Registry) Options() Options { return r.opts }
 
-// Start launches the timer-wheel driver, a clock.Loop calling Tick every
-// WheelTick (under clock.Sim, inside Advance). Start is idempotent.
+// Start launches the timer-wheel driver, a clock.Loop (under clock.Sim,
+// inside Advance) that wakes on every WheelTick boundary of the wheel and
+// on the fine-grid instant after each looked-ahead deadline, and calls
+// Tick. Start is idempotent.
 func (r *Registry) Start() {
 	if !r.started.CompareAndSwap(false, true) {
 		return
 	}
 	r.startPersist()
-	r.loop.Every(r.clk, r.opts.WheelTick, r.Tick)
+	now := r.clk.Now()
+	r.planned, r.plannedCoarse = r.wheel.boundaryAfter(now), true
+	r.loop.Run(r.clk, r.planned.Sub(now), r.wake)
+}
+
+// wake is one driver wake: it counts the wake and its lateness, ticks,
+// and returns the delay to the nearer of the next WheelTick boundary and
+// the fine heap's earliest wake. Only Tick pushes onto the heap, so the
+// delay returned here always covers it: the driver never has to cut a
+// sleep short, and makes one clock.After per wake on a clock without
+// callbacks.
+func (r *Registry) wake(now clock.Time) clock.Duration {
+	if r.plannedCoarse {
+		r.coarseWakes.Add(1)
+	} else {
+		r.fineWakes.Add(1)
+	}
+	if h := r.lateness.Load(); h != nil {
+		h.Observe(max(now.Sub(r.planned), 0).Seconds())
+	}
+	r.Tick(now)
+	r.planned, r.plannedCoarse = r.reached, true
+	if len(r.fine) > 0 {
+		if at := r.wheel.fineAt(r.fine[0].at); at.Before(r.planned) {
+			r.planned, r.plannedCoarse = at, false
+		}
+	}
+	// Late (the Tick outran the plan): wake again at once.
+	return max(r.planned.Sub(r.clk.Now()), clock.Nanosecond)
 }
 
 // Stop halts the wheel driver, waiting out a Tick it has in flight, and,
@@ -319,14 +365,24 @@ func (r *Registry) Stop() {
 	}
 }
 
-// Tick advances the wheel to instant now, firing every due transition.
-// Start calls it automatically; it is exported so tests and embedders
-// can drive the wheel by hand. It must not be called concurrently with
-// itself (the Start drivers never do).
+// Tick fires every transition due by instant now. It advances the wheel
+// one tick past now and resolves each entry that comes out: a stream
+// whose deadline a heartbeat moved past that lookahead is re-armed on the
+// wheel, one already due transitions, and one due inside the lookahead
+// goes on the fine heap, which the driver wakes for. Then it pops and
+// resolves every heap entry due by now. Start calls Tick automatically;
+// it is exported so tests and embedders can drive the wheel by hand. It
+// must not be called concurrently with itself (the Start driver never
+// does).
 func (r *Registry) Tick(now clock.Time) {
-	r.tickBuf = r.wheel.advance(now, r.tickBuf[:0])
+	r.tickBuf = r.wheel.advance(now.Add(r.opts.WheelTick), r.tickBuf[:0])
+	r.reached = r.wheel.reached()
 	for _, x := range r.tickBuf {
 		r.expire(now, x)
+	}
+	for len(r.fine) > 0 && !r.fine[0].at.After(now) {
+		e := r.fine.pop()
+		r.expire(now, expiry{peer: e.peer, gen: e.gen})
 	}
 	if hooks := r.tickHooks.Load(); hooks != nil {
 		for _, h := range *hooks {
@@ -556,8 +612,24 @@ func (r *Registry) rearmLocked(st *stream, at clock.Time) {
 	r.wheel.schedule(at, st.peer, st.gen)
 }
 
-// expire resolves one fired wheel entry against the stream's current
-// state: re-arm if a heartbeat moved the deadline, otherwise advance the
+// armLocked is the driver's re-arm, for a stream whose only live entry
+// it has just taken off the wheel or the heap. A deadline inside the
+// looked-ahead tick goes on the fine heap under the stream's current
+// generation; any other goes back on the wheel (one already due lands on
+// the next tick, so one Tick never cascades a stream through two
+// transitions). The stream's shard lock must be held.
+func (r *Registry) armLocked(now clock.Time, st *stream, at clock.Time) {
+	if at.After(now) && !at.After(r.reached) {
+		st.entryAt, st.deadline = at, at
+		r.fine.push(fineEntry{at: at, gen: st.gen, peer: st.peer})
+		return
+	}
+	r.rearmLocked(st, at)
+}
+
+// expire resolves one wheel or heap entry against the stream's current
+// state: re-arm if its deadline is still ahead (a heartbeat moved it, or
+// it falls inside the looked-ahead tick), otherwise advance the
 // trusted → suspected → offline → evicted machine one step.
 func (r *Registry) expire(now clock.Time, x expiry) {
 	sh := r.shardFor(x.peer)
@@ -569,8 +641,7 @@ func (r *Registry) expire(now clock.Time, x expiry) {
 	}
 	st.entryAt = 0
 	if st.deadline.After(now) {
-		// Heartbeats pushed the deadline out while the entry was queued.
-		r.rearmLocked(st, st.deadline)
+		r.armLocked(now, st, st.deadline)
 		sh.mu.Unlock()
 		return
 	}
@@ -586,12 +657,12 @@ func (r *Registry) expire(now clock.Time, x expiry) {
 			st.suspectSince = fp
 		}
 		ev = Event{Type: EventSuspect, Peer: st.peer, At: now, Suspicion: r.level(st, now), Incarnation: st.inc}
-		r.rearmLocked(st, st.suspectSince.Add(r.opts.OfflineAfter))
+		r.armLocked(now, st, st.suspectSince.Add(r.opts.OfflineAfter))
 	case phaseSuspected:
 		st.phase = phaseOffline
 		ev = Event{Type: EventOffline, Peer: st.peer, At: now, Suspicion: r.level(st, now), Incarnation: st.inc}
 		if r.opts.EvictAfter > 0 {
-			r.rearmLocked(st, now.Add(r.opts.EvictAfter))
+			r.armLocked(now, st, now.Add(r.opts.EvictAfter))
 		} else {
 			st.deadline = 0 // parked: kept until it recovers or is deregistered
 		}
@@ -777,6 +848,8 @@ func (r *Registry) Counters() Counters {
 		WatchConns:    int(r.watchConns.Load()),
 		Streams:       r.Len(),
 		WheelEntries:  r.wheel.len(),
+		CoarseWakes:   r.coarseWakes.Load(),
+		FineWakes:     r.fineWakes.Load(),
 		Subscribers:   r.bus.Subscribers(),
 		TopicSubs:     fs.Subscriptions,
 		TrieNodes:     fs.Nodes,
