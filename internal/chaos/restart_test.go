@@ -299,7 +299,7 @@ func TestAcceptKillRestartDrill(t *testing.T) {
 	// post-restart slots — the QoS re-convergence the paper's gap rule
 	// and the rewarm freeze exist to deliver.
 	now := sim2.Now()
-	for _, i := range []int{deadN, deadN + rebornN/2, deadN + rebornN, n/2, n - 1} {
+	for _, i := range []int{deadN, deadN + rebornN/2, deadN + rebornN, n / 2, n - 1} {
 		name := names[i]
 		if st, ok := r2.StatusOf(name, now); !ok || st != registry.StatusActive {
 			t.Fatalf("%s status = %v (ok=%v), want active", name, st, ok)

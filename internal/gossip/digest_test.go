@@ -63,15 +63,15 @@ func TestDigestRejectsGarbage(t *testing.T) {
 		return f(b)
 	}
 	cases := map[string][]byte{
-		"empty":      {},
-		"one byte":   {'S'},
-		"bad magic":  mutate(func(b []byte) []byte { b[0] = 'X'; return b }),
-		"bad version": mutate(func(b []byte) []byte { b[2] = 99; return b }),
-		"truncated header":  valid[:10],
-		"truncated entry":   valid[:len(valid)-3],
-		"trailing bytes":    append(append([]byte(nil), valid...), 0),
-		"bad state":         mutate(func(b []byte) []byte { b[len(b)-17] = 3; return b }), // state byte sits 17 from the end (inc+level follow)
-		"oversized id len":  mutate(func(b []byte) []byte { b[3], b[4] = 0xff, 0xff; return b }),
+		"empty":            {},
+		"one byte":         {'S'},
+		"bad magic":        mutate(func(b []byte) []byte { b[0] = 'X'; return b }),
+		"bad version":      mutate(func(b []byte) []byte { b[2] = 99; return b }),
+		"truncated header": valid[:10],
+		"truncated entry":  valid[:len(valid)-3],
+		"trailing bytes":   append(append([]byte(nil), valid...), 0),
+		"bad state":        mutate(func(b []byte) []byte { b[len(b)-17] = 3; return b }), // state byte sits 17 from the end (inc+level follow)
+		"oversized id len": mutate(func(b []byte) []byte { b[3], b[4] = 0xff, 0xff; return b }),
 		"huge entry count": func() []byte {
 			d := Digest{Monitor: "m", Weight: 1, Seq: 1}
 			b := d.Marshal()

@@ -134,12 +134,20 @@ type vsender struct {
 // senderHeap orders live senders by next beat instant.
 type senderHeap []*vsender
 
-func (h senderHeap) Len() int            { return len(h) }
-func (h senderHeap) Less(i, j int) bool  { return h[i].next < h[j].next }
-func (h senderHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].hidx, h[j].hidx = i, j }
-func (h *senderHeap) Push(x any)         { s := x.(*vsender); s.hidx = len(*h); *h = append(*h, s) }
-func (h *senderHeap) Pop() any           { old := *h; n := len(old); s := old[n-1]; old[n-1] = nil; s.hidx = -1; *h = old[:n-1]; return s }
-func (h senderHeap) peek() *vsender      { return h[0] }
+func (h senderHeap) Len() int           { return len(h) }
+func (h senderHeap) Less(i, j int) bool { return h[i].next < h[j].next }
+func (h senderHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].hidx, h[j].hidx = i, j }
+func (h *senderHeap) Push(x any)        { s := x.(*vsender); s.hidx = len(*h); *h = append(*h, s) }
+func (h *senderHeap) Pop() any {
+	old := *h
+	n := len(old)
+	s := old[n-1]
+	old[n-1] = nil
+	s.hidx = -1
+	*h = old[:n-1]
+	return s
+}
+func (h senderHeap) peek() *vsender { return h[0] }
 
 // opKind is a scheduler command.
 type opKind int

@@ -10,12 +10,12 @@ import (
 
 // CohortReport summarizes one cohort's send side.
 type CohortReport struct {
-	Name       string            `json:"name"`
-	Count      int               `json:"count"`
-	IntervalMS float64           `json:"interval_ms"`
-	Sent       uint64            `json:"sent"`
-	SendErrors uint64            `json:"send_errors"`
-	Chaos      *chaos.Counters   `json:"chaos,omitempty"`
+	Name       string          `json:"name"`
+	Count      int             `json:"count"`
+	IntervalMS float64         `json:"interval_ms"`
+	Sent       uint64          `json:"sent"`
+	SendErrors uint64          `json:"send_errors"`
+	Chaos      *chaos.Counters `json:"chaos,omitempty"`
 }
 
 // QoSAggregate rolls the paper's per-stream QoS metrics up over one
@@ -23,30 +23,30 @@ type CohortReport struct {
 // many detectors are self-tuning, and the mean of the last measured
 // slot's TD / MR / QAP across tuned streams.
 type QoSAggregate struct {
-	Streams   int            `json:"streams"`
-	Phases    map[string]int `json:"phases"`
-	Tuned     int            `json:"tuned"`
-	Measured  int            `json:"measured"`
-	MeanTDS   float64        `json:"mean_td_s"`
-	MeanMR    float64        `json:"mean_mr_per_s"`
-	MeanQAP   float64        `json:"mean_qap"`
+	Streams  int            `json:"streams"`
+	Phases   map[string]int `json:"phases"`
+	Tuned    int            `json:"tuned"`
+	Measured int            `json:"measured"`
+	MeanTDS  float64        `json:"mean_td_s"`
+	MeanMR   float64        `json:"mean_mr_per_s"`
+	MeanQAP  float64        `json:"mean_qap"`
 }
 
 // MonitorReport is one monitor node's receive-side view.
 type MonitorReport struct {
-	Addr          string                     `json:"addr"`
-	Heartbeats    uint64                     `json:"heartbeats"`
-	UDPReceived   uint64                     `json:"udp_received"`
-	UDPDropped    uint64                     `json:"udp_dropped"`
-	Stale         uint64                     `json:"stale"`
-	Suspects      uint64                     `json:"suspects"`
-	Trusts        uint64                     `json:"trusts"`
-	Offlines      uint64                     `json:"offlines"`
-	QoS           QoSAggregate               `json:"qos"`
-	Detection     registry.DetectionLatency  `json:"registry_detection_latency"`
-	WatchEvents   uint64                     `json:"watch_events"`
-	WatchDropped  uint64                     `json:"watch_dropped"`
-	WatchReconns  uint64                     `json:"watch_reconnects"`
+	Addr         string                    `json:"addr"`
+	Heartbeats   uint64                    `json:"heartbeats"`
+	UDPReceived  uint64                    `json:"udp_received"`
+	UDPDropped   uint64                    `json:"udp_dropped"`
+	Stale        uint64                    `json:"stale"`
+	Suspects     uint64                    `json:"suspects"`
+	Trusts       uint64                    `json:"trusts"`
+	Offlines     uint64                    `json:"offlines"`
+	QoS          QoSAggregate              `json:"qos"`
+	Detection    registry.DetectionLatency `json:"registry_detection_latency"`
+	WatchEvents  uint64                    `json:"watch_events"`
+	WatchDropped uint64                    `json:"watch_dropped"`
+	WatchReconns uint64                    `json:"watch_reconnects"`
 }
 
 // Report is the run's JSON artifact.

@@ -58,11 +58,11 @@ type WatchTap struct {
 	done   chan struct{}
 	once   sync.Once
 
-	events   atomic.Uint64
-	reconns  atomic.Uint64
-	dropped  atomic.Uint64
-	lastErr  atomic.Pointer[string]
-	client   *http.Client
+	events  atomic.Uint64
+	reconns atomic.Uint64
+	dropped atomic.Uint64
+	lastErr atomic.Pointer[string]
+	client  *http.Client
 }
 
 // NewWatchTap builds a tap on base (e.g. "http://127.0.0.1:8080")

@@ -248,8 +248,8 @@ func TestDecodeSnapshotImplausibleCounts(t *testing.T) {
 	// A tiny file claiming 4 billion streams must be rejected before any
 	// large allocation happens.
 	b := appendHeader(nil, kindSnapshot)
-	b = append(b, make([]byte, 8+8+8)...)      // epoch, takenAt, wallNano
-	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF)      // streamCount
+	b = append(b, make([]byte, 8+8+8)...) // epoch, takenAt, wallNano
+	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF) // streamCount
 	b = append(b, bytes.Repeat([]byte{0}, 8)...)
 	var crc [4]byte
 	b = append(b, crc[:]...)

@@ -22,8 +22,8 @@ type simSender struct {
 	interval clock.Duration
 	seq      uint64
 
-	crashAt              clock.Time // 0 = never
-	pauseFrom, pauseTo   clock.Time // zero window = never
+	crashAt            clock.Time // 0 = never
+	pauseFrom, pauseTo clock.Time // zero window = never
 }
 
 func (s *simSender) beat(now clock.Time) {

@@ -40,8 +40,8 @@ package sfd
 import (
 	"io"
 
-	"repro/internal/chaos"
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/consensus"
 	"repro/internal/core"
