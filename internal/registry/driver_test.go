@@ -171,10 +171,12 @@ func TestVerdictEdgeCases(t *testing.T) {
 
 // stepClock is a Clock with only Now/After/Sleep that the test steps by
 // hand: each After call is handed over on calls with the delay it asked
-// for, and Now reads the instant the test last set.
+// for, and Now reads the instant the test last set. A non-nil requested
+// sees each delay first, on the caller's goroutine.
 type stepClock struct {
-	now   atomic.Int64
-	calls chan stepCall
+	now       atomic.Int64
+	calls     chan stepCall
+	requested func(d clock.Duration)
 }
 
 type stepCall struct {
@@ -185,6 +187,9 @@ type stepCall struct {
 func (c *stepClock) Now() clock.Time      { return clock.Time(c.now.Load()) }
 func (c *stepClock) Sleep(clock.Duration) { panic("stepClock: Sleep") }
 func (c *stepClock) After(d clock.Duration) <-chan clock.Time {
+	if c.requested != nil {
+		c.requested(d)
+	}
 	ch := make(chan clock.Time, 1)
 	c.calls <- stepCall{d, ch}
 	return ch
@@ -290,4 +295,93 @@ func TestDriverWakeRate(t *testing.T) {
 				c.Suspects, coarse, fine, clock.Second/tick, fineWakes)
 		}
 	})
+}
+
+// TestDriverSleepsWholeGridSteps runs the real driver on a stepClock whose
+// Tick takes cost (an OnTick hook moves the clock on). Each stream beats
+// once at its phase and is then silent, so its τ = phase + 100 ms comes
+// out of the lookahead at the 100 ms wake. Every fine wake the driver
+// asks for must be a whole number of grid steps g = min(fineGrid,
+// WheelTick), counted from the end of the Tick, or 1 ns when the heap's
+// earliest deadline fell due while the Tick ran; every suspect must land
+// in [τ, τ + max(g, cost + 1 ns)]. want pins the one stream's suspect.
+func TestDriverSleepsWholeGridSteps(t *testing.T) {
+	const timeout = 100 * ms
+	const us = clock.Microsecond
+	fleet := func(n int, seed int64) []clock.Duration {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]clock.Duration, n)
+		for i := range out {
+			out[i] = clock.Duration(rng.Int63n(int64(10 * ms)))
+		}
+		return out
+	}
+	cases := []struct {
+		name       string
+		tick, cost clock.Duration
+		phases     []clock.Duration
+		want       clock.Duration
+	}{
+		{"free Tick: whole ms from the wake", 10 * ms, 0, []clock.Duration{2500 * us}, 103 * ms},
+		{"0.3 ms Tick: whole ms from its end", 10 * ms, 300 * us, []clock.Duration{2500 * us}, 103300 * us},
+		{"due while the Tick runs: at once", 10 * ms, 600 * us, []clock.Duration{200 * us}, 100600*us + clock.Nanosecond},
+		{"fleet, free Tick", 10 * ms, 0, fleet(300, 4), 0},
+		{"fleet, 0.3 ms Tick", 10 * ms, 300 * us, fleet(300, 5), 0},
+		{"fleet, 0.6 ms Tick", 10 * ms, 600 * us, fleet(300, 6), 0},
+		{"fleet, 0.5 ms WheelTick, 0.3 ms Tick", 500 * us, 300 * us, fleet(300, 7), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			beats := make([]beat, len(tc.phases))
+			for i, p := range tc.phases {
+				beats[i] = beat{clock.Time(p), fmt.Sprintf("f/s%05d", i), 1}
+			}
+			sort.Slice(beats, func(i, j int) bool { return beats[i].at < beats[j].at })
+			r, run, _ := startStepped(t, timeout, tc.tick, beats)
+			sub := r.Subscribe(4 * len(beats))
+			clk := r.clk.(*stepClock)
+			g := min(fineGrid, tc.tick)
+			var bad []string
+			fine := 0
+			// requested runs on the driver goroutine, right after wake
+			// planned the delay it asks for.
+			clk.requested = func(d clock.Duration) {
+				if r.plannedCoarse {
+					return
+				}
+				fine++
+				due := len(r.fine) > 0 && !r.fine[0].at.After(clk.Now())
+				if d%g != 0 && (d != clock.Nanosecond || !due) || d == clock.Nanosecond && !due {
+					bad = append(bad, fmt.Sprintf("%v at %v (heap top due: %v)", d, clk.Now().Sub(0), due))
+				}
+			}
+			if tc.cost > 0 {
+				r.OnTick(func(clock.Time) { clk.now.Add(int64(tc.cost)) })
+			}
+			run(clock.Time(timeout + 20*ms))
+			if len(bad) > 0 {
+				t.Fatalf("%d of %d fine wakes not a whole %v step nor 1 ns for a due deadline: %v", len(bad), fine, g, bad)
+			}
+			evs := drain(sub)
+			if len(evs) != len(beats) {
+				t.Fatalf("%d events for %d silent streams", len(evs), len(beats))
+			}
+			tau := make(map[string]clock.Time, len(beats))
+			for _, b := range beats {
+				tau[b.peer] = b.at.Add(timeout)
+			}
+			for _, ev := range evs {
+				if lag := ev.At.Sub(tau[ev.Peer]); ev.Type != EventSuspect || lag < 0 || lag > max(g, tc.cost+clock.Nanosecond) {
+					t.Fatalf("%s %s at %v, τ %v: want a suspect within [0, %v] after τ",
+						ev.Peer, ev.Type, ev.At.Sub(0), tau[ev.Peer].Sub(0), max(g, tc.cost+clock.Nanosecond))
+				}
+			}
+			if tc.want != 0 && evs[0].At != clock.Time(tc.want) {
+				t.Fatalf("suspect at %v, want %v", evs[0].At.Sub(0), tc.want)
+			}
+			if fine == 0 {
+				t.Fatal("no fine wake: the case does not exercise the heap")
+			}
+		})
+	}
 }

@@ -315,7 +315,7 @@ func (r *Registry) Options() Options { return r.opts }
 
 // Start launches the timer-wheel driver, a clock.Loop (under clock.Sim,
 // inside Advance) that wakes on every WheelTick boundary of the wheel and
-// on the fine-grid instant after each looked-ahead deadline, and calls
+// within one fine grid step after each looked-ahead deadline, and calls
 // Tick. Start is idempotent.
 func (r *Registry) Start() {
 	if !r.started.CompareAndSwap(false, true) {
@@ -333,6 +333,12 @@ func (r *Registry) Start() {
 // delay returned here always covers it: the driver never has to cut a
 // sleep short, and makes one clock.After per wake on a clock without
 // callbacks.
+//
+// A coarse wake stays on the wheel's boundary grid, so ticks do not drift.
+// A fine wake sleeps whole fineGrid steps from the end of the Tick (see
+// fineGrid for why whole steps), to the first at or after the heap's
+// earliest deadline; one that fell due while the Tick ran wakes the
+// driver at once.
 func (r *Registry) wake(now clock.Time) clock.Duration {
 	if r.plannedCoarse {
 		r.coarseWakes.Add(1)
@@ -343,14 +349,19 @@ func (r *Registry) wake(now clock.Time) clock.Duration {
 		h.Observe(max(now.Sub(r.planned), 0).Seconds())
 	}
 	r.Tick(now)
-	r.planned, r.plannedCoarse = r.reached, true
+	end := r.clk.Now()
+	d, coarse := r.reached.Sub(end), true
 	if len(r.fine) > 0 {
-		if at := r.wheel.fineAt(r.fine[0].at); at.Before(r.planned) {
-			r.planned, r.plannedCoarse = at, false
+		g := min(fineGrid, r.opts.WheelTick)
+		if f := (max(r.fine[0].at.Sub(end), 0) + g - 1) / g * g; f < d {
+			d, coarse = f, false
 		}
 	}
-	// Late (the Tick outran the plan): wake again at once.
-	return max(r.planned.Sub(r.clk.Now()), clock.Nanosecond)
+	// Late (the Tick outran the plan) or a deadline already due: wake
+	// again at once.
+	d = max(d, clock.Nanosecond)
+	r.planned, r.plannedCoarse = end.Add(d), coarse
+	return d
 }
 
 // Stop halts the wheel driver, waiting out a Tick it has in flight, and,

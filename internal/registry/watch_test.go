@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -347,4 +348,201 @@ func TestForEachStream(t *testing.T) {
 
 func heartbeatArrivalAt(peer string, seq uint64, now clock.Time, inc uint64) heartbeat.Arrival {
 	return heartbeat.Arrival{From: peer, Seq: seq, Send: now, Recv: now, Inc: inc}
+}
+
+// chunkRecorder is an http.ResponseWriter that hands the test each
+// flushed chunk, with the number of Write calls that made it and the
+// subscription backlog at the moment of the Flush. The hand-off is
+// unbuffered, so the handler stays parked in Flush until the test takes
+// the chunk: the test decides what is queued before the handler's next
+// drain.
+type chunkRecorder struct {
+	header  http.Header
+	bus     *Bus
+	pending []byte
+	writes  int
+	chunks  chan watchChunk
+}
+
+type watchChunk struct {
+	writes int
+	queued int // events waiting on the bus subscriptions at the Flush
+	data   string
+}
+
+func (c *chunkRecorder) Header() http.Header { return c.header }
+func (c *chunkRecorder) WriteHeader(int)     {}
+func (c *chunkRecorder) Write(p []byte) (int, error) {
+	c.pending = append(c.pending, p...)
+	c.writes++
+	return len(p), nil
+}
+func (c *chunkRecorder) Flush() {
+	queued := 0
+	for _, s := range c.bus.SubscriptionStats() {
+		queued += s.Queued
+	}
+	c.chunks <- watchChunk{writes: c.writes, queued: queued, data: string(c.pending)}
+	c.pending, c.writes = c.pending[:0], 0
+}
+
+// serveWatchChunks runs GET /watch?query on a chunkRecorder until stop,
+// and returns once the subscription exists, with the handler parked in
+// its hello line's Flush.
+func serveWatchChunks(t *testing.T, reg *Registry, query string) (chunks <-chan watchChunk, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := &chunkRecorder{header: make(http.Header), bus: reg.Bus(), chunks: make(chan watchChunk)}
+	req := httptest.NewRequest(http.MethodGet, "/watch?"+query, nil).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reg.Handler().ServeHTTP(rec, req)
+	}()
+	waitForTopicSubs(t, reg, 1)
+	return rec.chunks, func() {
+		cancel()
+		for {
+			select {
+			case <-done:
+				return
+			case <-rec.chunks: // a failed test may leave the handler parked in Flush
+			}
+		}
+	}
+}
+
+// nextChunk takes the handler's next flushed chunk; each must be exactly
+// one Write.
+func nextChunk(t *testing.T, chunks <-chan watchChunk) watchChunk {
+	t.Helper()
+	select {
+	case c := <-chunks:
+		if c.writes != 1 {
+			t.Fatalf("one Flush carried %d Writes, want 1: %q", c.writes, c.data)
+		}
+		return c
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a /watch write")
+		return watchChunk{}
+	}
+}
+
+// burstEvents returns n events whose lines each carry a detail of
+// detailLen bytes, and the lines encoding/json writes for them.
+func burstEvents(t *testing.T, n, detailLen int) ([]Event, string) {
+	evs := make([]Event, n)
+	var lines strings.Builder
+	for i := range evs {
+		evs[i] = Event{Type: EventSuspect, Peer: fmt.Sprintf("dc/zone-1/rack-01/s-%02d", i), At: clock.Time(i + 1),
+			Suspicion: 1.25, Incarnation: 1, Detail: strings.Repeat("d", detailLen)}
+		line, err := encodeReference(evs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines.Write(line)
+	}
+	return evs, lines.String()
+}
+
+// TestWatchCoalescesQueuedBurst: a 100-event burst that is queued when
+// the writer wakes goes out in ⌈bytes / watchWriteCap⌉ writes, one Flush
+// each, not 100, with the lines byte-identical and in order.
+func TestWatchCoalescesQueuedBurst(t *testing.T) {
+	for _, detailLen := range []int{0, 1000} {
+		t.Run(fmt.Sprintf("detail%d", detailLen), func(t *testing.T) {
+			reg := newWatchTestRegistry(clock.NewSim(0))
+			chunks, stop := serveWatchChunks(t, reg, "buf=128")
+			defer stop()
+			evs, want := burstEvents(t, 100, detailLen)
+			for _, ev := range evs {
+				reg.Bus().Publish(ev)
+			}
+			nextChunk(t, chunks) // hello
+			var got strings.Builder
+			writes := 0
+			for got.Len() < len(want) {
+				got.WriteString(nextChunk(t, chunks).data)
+				writes++
+			}
+			if got.String() != want {
+				t.Fatalf("burst lines differ from encoding/json's:\n got  %q\n want %q", got.String(), want)
+			}
+			if cap := (len(want) + watchWriteCap - 1) / watchWriteCap; writes != cap {
+				t.Fatalf("%d-byte burst of 100 events went out in %d writes, want %d", len(want), writes, cap)
+			}
+		})
+	}
+}
+
+// TestWatchFlushesLoneEvent: an event with nothing queued behind it is
+// written and flushed at once; the writer does not wait for company.
+func TestWatchFlushesLoneEvent(t *testing.T) {
+	reg := newWatchTestRegistry(clock.NewSim(0))
+	chunks, stop := serveWatchChunks(t, reg, "")
+	defer stop()
+	nextChunk(t, chunks) // hello
+	evs, _ := burstEvents(t, 2, 0)
+	for _, ev := range evs {
+		reg.Bus().Publish(ev)
+		want, _ := encodeReference(ev)
+		if c := nextChunk(t, chunks); c.data != string(want) {
+			t.Fatalf("lone event chunk %q, want %q", c.data, want)
+		}
+	}
+}
+
+// TestWatchMaxStopsReadingAtMax: with max=10 and 100 events queued, the
+// writer writes exactly ten event lines and the done line, and leaves the
+// other 90 on the subscription: an event read past max would be lost.
+func TestWatchMaxStopsReadingAtMax(t *testing.T) {
+	reg := newWatchTestRegistry(clock.NewSim(0))
+	chunks, stop := serveWatchChunks(t, reg, "buf=128&max=10")
+	defer stop()
+	evs, _ := burstEvents(t, 100, 0)
+	for _, ev := range evs {
+		reg.Bus().Publish(ev)
+	}
+	nextChunk(t, chunks) // hello
+	_, want := burstEvents(t, 10, 0)
+	want += `{"done":true,"delivered":100,"dropped":0}` + "\n"
+	var got strings.Builder
+	var last watchChunk
+	for got.Len() < len(want) {
+		last = nextChunk(t, chunks)
+		got.WriteString(last.data)
+	}
+	if got.String() != want {
+		t.Fatalf("max=10 stream:\n got  %q\n want %q", got.String(), want)
+	}
+	if last.queued != 90 {
+		t.Fatalf("%d events left queued when the done line was flushed, want 90", last.queued)
+	}
+}
+
+// TestWatchKeepaliveAccounting: keepalive lines are written alone, with
+// the connection's delivered, dropped and queued counts as before.
+func TestWatchKeepaliveAccounting(t *testing.T) {
+	sim := clock.NewSim(0)
+	reg := newWatchTestRegistry(sim)
+	chunks, stop := serveWatchChunks(t, reg, "buf=2&heartbeat=1s")
+	defer stop()
+	evs, want := burstEvents(t, 3, 0)
+	for _, ev := range evs {
+		reg.Bus().Publish(ev) // the third displaces the first
+	}
+	nextChunk(t, chunks) // hello; the keepalive timer is armed after it
+	want = want[strings.IndexByte(want, '\n')+1:]
+	var got strings.Builder
+	for got.Len() < len(want) {
+		got.WriteString(nextChunk(t, chunks).data)
+	}
+	if got.String() != want {
+		t.Fatalf("events after drop-oldest: %q, want %q", got.String(), want)
+	}
+	sim.Advance(clock.Second)
+	const hb = `{"heartbeat":true,"now_ns":1000000000,"delivered":3,"dropped":1,"queued":0}` + "\n"
+	if c := nextChunk(t, chunks); c.data != hb {
+		t.Fatalf("keepalive %q, want %q", c.data, hb)
+	}
 }

@@ -18,14 +18,15 @@ import (
 // that comes out of that lookahead for a stream still due inside the
 // next tick — one that has not heartbeated since its freshness point was
 // set — moves to a small min-heap (fineHeap) owned by the driver, which
-// wakes for it on a fineGrid boundary just after the deadline instead of
-// on the next WheelTick boundary. While a stream's safety margin (τ minus
-// its next beat's expected arrival) is at least WheelTick, its next beat
-// has moved τ on before the lookahead reaches it, so only imminent
-// verdicts reach the heap and fine wakes follow the suspect rate. A
-// healthy stream with a narrower margin reaches the heap too, in a
-// share 1 − margin/WheelTick of its intervals; a fleet of them wakes the
-// driver on up to every fineGrid point, the rate of a 1 ms WheelTick.
+// wakes for it within one fineGrid step after the deadline, sleeping whole
+// steps from the end of its last Tick, instead of on the next WheelTick
+// boundary. While a stream's safety margin (τ minus its next beat's
+// expected arrival) is at least WheelTick, its next beat has moved τ on
+// before the lookahead reaches it, so only imminent verdicts reach the
+// heap and fine wakes follow the suspect rate. A healthy stream with a
+// narrower margin reaches the heap too, in a share 1 − margin/WheelTick
+// of its intervals; a fleet of them wakes the driver up to once per
+// fineGrid step, the rate of a 1 ms WheelTick.
 //
 // Entries are lazily invalidated rather than removed: every stream
 // carries a generation counter, each entry captures the generation it
@@ -198,21 +199,13 @@ func (w *timerWheel) len() int {
 	return w.count
 }
 
-// fineGrid is the resolution of the driver's fine wakes (capped at
-// WheelTick), about that of the Go runtime timer: a finer grid buys
-// nothing on a real clock, and a zero-width one would let a verdict fire
-// exactly at its deadline, with no measurable lag at all under
-// clock.Sim.
+// fineGrid is the step of the driver's fine sleeps (capped at WheelTick):
+// a fine wake sleeps a whole number of steps from the end of a Tick. It is
+// the Go runtime's timer resolution on Linux, where netpoll waits in whole
+// milliseconds and a sleep with a fractional millisecond overshoots by up
+// to one more; a zero-width step would let a verdict fire exactly at its
+// deadline, with no measurable lag at all under clock.Sim.
 const fineGrid = clock.Millisecond
-
-// fineAt returns the fine wake for deadline at: the first instant of the
-// grid min(fineGrid, tick), counted from the wheel's start, at or after
-// at.
-func (w *timerWheel) fineAt(at clock.Time) clock.Time {
-	g := int64(min(fineGrid, w.tick))
-	d := int64(at.Sub(w.start))
-	return w.start.Add(clock.Duration((d + g - 1) / g * g))
-}
 
 // fineEntry is one looked-ahead deadline on the driver's heap.
 type fineEntry struct {
