@@ -77,12 +77,17 @@ func (e *refEstimator) Expected() (clock.Time, bool) {
 // the benchmark's, with Δt configured and estimated, and requires EA and
 // Δt to agree bit for bit after every arrival.
 //
-// Each preset runs twice. "as recorded" feeds the received heartbeats.
-// "forced upgrade" feeds the first half on the preset's nominal schedule
-// (every sequence number exactly Δt apart, so the window holds narrow
-// words), then one heartbeat a second late, which no narrow word holds,
-// then the rest as recorded.
+// Each preset runs three times, so that narrow, escaped and wide windows
+// are all held to the reference. "as recorded" feeds the received
+// heartbeats. The other two feed the first half on the preset's nominal
+// schedule (every sequence number exactly Δt apart, so the window holds
+// narrow words), then a late stretch, then the rest as recorded. In
+// "escape" the stretch is one heartbeat a second late, which no narrow
+// word holds: an escape. In "forced upgrade" it is 200 heartbeats, every
+// other one a second late: more misfits than either window holds as
+// escapes, so it upgrades.
 func TestEstimatorBitIdenticalOnPresets(t *testing.T) {
+	stretch := map[string]int{"as recorded": 0, "escape": 1, "forced upgrade": 200}
 	for _, name := range trace.PresetNames() {
 		gp, err := trace.Preset(name)
 		if err != nil {
@@ -93,21 +98,21 @@ func TestEstimatorBitIdenticalOnPresets(t *testing.T) {
 		nominal := func(seq uint64) clock.Time {
 			return recs[0].SendTime.Add(clock.Duration(seq) * gp.Meta.Interval)
 		}
-		for _, mode := range []string{"as recorded", "forced upgrade"} {
+		for _, mode := range []string{"as recorded", "escape", "forced upgrade"} {
 			for _, ws := range []int{DefaultWindowSize, 100} {
 				for _, iv := range []clock.Duration{0, gp.Meta.Interval} {
 					got, ref := NewArrivalEstimator(ws, iv), newRefEstimator(ws, iv)
 					for i, r := range recs {
 						recv := r.RecvTime
 						switch {
-						case mode == "as recorded" || i > half:
+						case mode == "as recorded" || i >= half+stretch[mode]:
 							if r.Lost {
 								continue
 							}
 						case i < half:
 							recv = nominal(r.Seq)
 						default:
-							recv = nominal(r.Seq).Add(clock.Second)
+							recv = nominal(r.Seq).Add(clock.Duration((i-half+1)%2) * clock.Second)
 						}
 						got.Observe(r.Seq, recv)
 						ref.Observe(r.Seq, recv)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -14,21 +15,32 @@ import (
 // TestStreamFootprint is the memory gate per monitored stream, shaped
 // like the benchmark's steady workload: SFD with window 100 and slot 50 on
 // a 1 s stream, every arrival back-dated and on time. It measures heap per
-// stream — detector, registry entry, wheel entry and name — in two shapes:
+// stream — detector, registry entry, wheel entry and name — in three
+// shapes:
 //   - "12 s run": 151–200 arrivals each, so every window is full and a few
 //     slots have closed, as at the end of a benchmark run;
+//   - "healed partition": the same, but three beats lost 20 from the end
+//     and the stream healed with its sequence numbers carried on, so gap
+//     filling puts a few misfits (escapes) in the window, as after a
+//     partition in the benchmark's storm workload;
 //   - "long-lived": 1 000 arrivals each, 20 closed slots, so the 16-entry
 //     adjustment log is full, as on a monitor that has run for a while.
 func TestStreamFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(core.SFD{}); size > 320 {
+		t.Errorf("core.SFD is %d B, past the 320 B size class", size)
+	}
 	const interval = clock.Second
+	twelve := func(i int) int { return 100 + 50 + 1 + i%50 }
 	cases := []struct {
 		name     string
 		streams  int
 		arrivals func(i int) int
-		budget   float64 // bytes per stream
+		lost     func(n, j int) bool // whether beat j of n is lost
+		budget   float64             // bytes per stream
 	}{
-		{"12 s run", 10_000, func(i int) int { return 100 + 50 + 1 + i%50 }, 1200},
-		{"long-lived", 2_000, func(int) int { return 1000 }, 2000},
+		{"12 s run", 10_000, twelve, nil, 1200},
+		{"healed partition", 10_000, twelve, func(n, j int) bool { return j > n-20 && j <= n-17 }, 1200},
+		{"long-lived", 2_000, func(int) int { return 1000 }, nil, 2000},
 	}
 	cfg := core.DefaultConfig()
 	cfg.WindowSize, cfg.SlotHeartbeats = 100, 50
@@ -52,6 +64,9 @@ func TestStreamFootprint(t *testing.T) {
 			name := fmt.Sprintf("node-%05d", i)
 			n := c.arrivals(i)
 			for j := 1; j <= n; j++ {
+				if c.lost != nil && c.lost(n, j) {
+					continue
+				}
 				at := epoch.Add(-clock.Duration(n-j+1) * interval)
 				r.Observe(heartbeat.Arrival{From: name, Seq: uint64(j), Send: at, Recv: at, Inc: 1})
 			}

@@ -31,6 +31,17 @@ const maxStep = 1 << 40
 // wide words. A learned step is never negative.
 const wideStep = -1
 
+// escape is the narrow code that marks a slot whose wide word waits in the
+// window's escape FIFO: all ones, which would otherwise be Δseq = −7 with
+// a residual of −2²⁷ ns. packNarrow never emits it.
+const escape = ^uint32(0)
+
+// escapeShare bounds a narrow window's live escapes to one slot in
+// escapeShare, and at least one. At the bound the escapes cost half a
+// byte a slot where an upgrade adds four, and a pop copies at most
+// capacity/16 words.
+const escapeShare = 16
+
 // Arrivals is a fixed-capacity FIFO of arrival samples that stores its
 // samples packed and keeps exact running sums of their sequence numbers
 // and arrival times.
@@ -51,21 +62,27 @@ const wideStep = -1
 // walks forward from the oldest.
 //
 // Storage is lossless. A sample that fits a wide word but not a narrow
-// one upgrades the window: every stored sample is re-encoded wide, once,
-// and the window never goes back. A sample whose delta from the newest
-// does not fit a wide word (sequence delta outside [−2¹⁵, 2¹⁵), arrival
-// delta outside [−2⁴⁷, 2⁴⁷) ns) restarts the window at that sample, and
-// the sums restart with it. Deltas are taken modulo 2⁶⁴, so any input —
-// including wrapped or decreasing values — either round-trips to the bit
-// or restarts, and the encoding in use is invisible to every accessor.
+// one is an escape: its slot holds the escape code and its wide word goes
+// to the back of a small FIFO, allocated at the window's first escape,
+// which holds the escapes in slot order; evicting an escaped slot pops
+// the front. A window upgrades only at the misfit that finds
+// max(1, capacity/escapeShare) escapes already live: every stored sample
+// is re-encoded wide, once, the FIFO is dropped, and the window never goes
+// back. A sample whose delta from the newest does not fit a wide word
+// (sequence delta outside [−2¹⁵, 2¹⁵), arrival delta outside [−2⁴⁷, 2⁴⁷)
+// ns) restarts the window at that sample, and the sums and the escapes
+// restart with it. Deltas are taken modulo 2⁶⁴, so any input — including
+// wrapped or decreasing values — either round-trips to the bit or
+// restarts, and the encoding in use is invisible to every accessor.
 //
-// An Arrivals shares its buffer with its copies; hold it in one place.
+// An Arrivals shares its buffers with its copies; hold it in one place.
 type Arrivals struct {
 	// words[i] is the narrow word of slot i; once wide, words[2i] and
 	// words[2i+1] are the low and high halves of slot i's wide word.
 	words          []uint32
-	step           int64 // Δrecv per unit Δseq that residuals are taken against; wideStep once upgraded
-	head, count    int   // slot of the oldest sample; samples held
+	esc            *[]uint64 // wide words of the escaped slots, oldest first; nil until the first escape
+	step           int64     // Δrecv per unit Δseq that residuals are taken against; wideStep once upgraded
+	head, count    int       // slot of the oldest sample; samples held
 	oldest, newest ArrivalSample
 	sumSeq         int64 // Σ seq (wrapping)
 	sumRecv        int64 // Σ recv in ns (wrapping)
@@ -91,12 +108,20 @@ func (a *Arrivals) Push(s ArrivalSample) {
 		if a.count == 1 {
 			a.step = learnStep(a.newest, s)
 		}
-		if w, ok := packNarrow(a.newest, s, a.step); ok {
+		w, ok := packNarrow(a.newest, s, a.step)
+		if !ok && a.pushEscape(s) {
+			w, ok = escape, true
+		}
+		if ok {
 			n := len(a.words)
 			a.words[a.tail(n)] = w
 			if a.count == n {
 				j := a.second(n)
-				a.evict(unpackNarrow(a.oldest, a.words[j], a.step), j)
+				next := unpackNarrow(a.oldest, a.words[j], a.step)
+				if a.words[j] == escape {
+					next = unpack(a.oldest, a.popEscape())
+				}
+				a.evict(next, j)
 			}
 			a.add(s)
 			return
@@ -161,22 +186,65 @@ func (a *Arrivals) restart(s ArrivalSample) {
 	a.head, a.count = 0, 1
 	a.oldest, a.newest = s, s
 	a.sumSeq, a.sumRecv = int64(s.Seq), int64(s.Recv)
+	a.dropEscapes()
+}
+
+// escapes returns the number of live escapes.
+func (a *Arrivals) escapes() int {
+	if a.esc == nil {
+		return 0
+	}
+	return len(*a.esc)
+}
+
+// pushEscape queues the wide word of s, the sample after the newest, at
+// the back of the escape FIFO. It reports false, queueing nothing, when s
+// does not fit a wide word or the window already holds its limit of
+// escapes.
+func (a *Arrivals) pushEscape(s ArrivalSample) bool {
+	w, ok := pack(a.newest, s)
+	if !ok || a.escapes() >= max(1, len(a.words)/escapeShare) {
+		return false
+	}
+	if a.esc == nil {
+		a.esc = new([]uint64)
+	}
+	*a.esc = append(*a.esc, w)
+	return true
+}
+
+// popEscape removes and returns the oldest escape. It copies the rest
+// down, so the FIFO keeps its capacity and a later push does not allocate.
+func (a *Arrivals) popEscape() uint64 {
+	q := *a.esc
+	w := q[0]
+	*a.esc = q[:copy(q, q[1:])]
+	return w
+}
+
+// dropEscapes empties the escape FIFO, keeping its capacity.
+func (a *Arrivals) dropEscapes() {
+	if a.esc != nil {
+		*a.esc = (*a.esc)[:0]
+	}
 }
 
 // upgrade re-encodes every stored sample as a wide word in a new buffer,
-// slot for slot. Nothing is lost: a narrow fit is a wide fit.
+// slot for slot, and drops the escape FIFO. Nothing is lost: a narrow fit
+// is a wide fit.
 func (a *Arrivals) upgrade() {
 	n := len(a.words)
 	wide := make([]uint32, 2*n)
-	prev := a.oldest
+	prev, e := a.oldest, 0
 	for k := 1; k < a.count; k++ {
 		i := (a.head + k) % n
-		s := unpackNarrow(prev, a.words[i], a.step)
+		var s ArrivalSample
+		s, e = a.next(prev, i, e)
 		w, _ := pack(prev, s)
 		wide[2*i], wide[2*i+1] = uint32(w), uint32(w>>32)
 		prev = s
 	}
-	a.words, a.step = wide, wideStep
+	a.words, a.step, a.esc = wide, wideStep, nil
 }
 
 // wideWord returns the wide word of slot i of an upgraded window.
@@ -184,12 +252,17 @@ func (a *Arrivals) wideWord(i int) uint64 {
 	return uint64(a.words[2*i]) | uint64(a.words[2*i+1])<<32
 }
 
-// next rebuilds the sample in slot i from prev, the sample before it.
-func (a *Arrivals) next(prev ArrivalSample, i int) ArrivalSample {
+// next rebuilds the sample in slot i from prev, the sample before it. e is
+// the index in the escape FIFO of the next escape on a walk from the
+// oldest; next returns it advanced past slot i.
+func (a *Arrivals) next(prev ArrivalSample, i, e int) (ArrivalSample, int) {
 	if a.step == wideStep {
-		return unpack(prev, a.wideWord(i))
+		return unpack(prev, a.wideWord(i)), e
 	}
-	return unpackNarrow(prev, a.words[i], a.step)
+	if w := a.words[i]; w != escape {
+		return unpackNarrow(prev, w, a.step), e
+	}
+	return unpack(prev, (*a.esc)[e]), e + 1
 }
 
 // Cap returns the fixed capacity.
@@ -218,10 +291,10 @@ func (a *Arrivals) Sums() (seq, recv int64) { return a.sumSeq, a.sumRecv }
 
 // Export appends the stored samples to dst, oldest first.
 func (a *Arrivals) Export(dst []ArrivalSample) []ArrivalSample {
-	s, n := a.oldest, a.Cap()
+	s, n, e := a.oldest, a.Cap(), 0
 	for k := 0; k < a.count; k++ {
 		if k > 0 {
-			s = a.next(s, (a.head+k)%n)
+			s, e = a.next(s, (a.head+k)%n, e)
 		}
 		dst = append(dst, s)
 	}
@@ -233,6 +306,7 @@ func (a *Arrivals) Reset() {
 	a.head, a.count = 0, 0
 	a.oldest, a.newest = ArrivalSample{}, ArrivalSample{}
 	a.sumSeq, a.sumRecv = 0, 0
+	a.dropEscapes()
 }
 
 // learnStep is the step a narrow window predicts from its first delta,
@@ -248,15 +322,17 @@ func learnStep(prev, s ArrivalSample) int64 {
 }
 
 // packNarrow encodes s as a narrow word from prev against step; ok is
-// false when Δseq − 1 or the residual does not fit its field.
+// false when Δseq − 1 or the residual does not fit its field, or when the
+// word would be the escape code.
 func packNarrow(prev, s ArrivalSample, step int64) (w uint32, ok bool) {
 	ds := int64(s.Seq - prev.Seq)
 	zs := zigzag(ds - 1)
 	zr := zigzag(int64(s.Recv-prev.Recv) - ds*step)
-	if zs>>narrowSeqBits != 0 || zr>>narrowResBits != 0 {
+	w = uint32(zs | zr<<narrowSeqBits)
+	if zs>>narrowSeqBits != 0 || zr>>narrowResBits != 0 || w == escape {
 		return 0, false
 	}
-	return uint32(zs | zr<<narrowSeqBits), true
+	return w, true
 }
 
 // unpackNarrow rebuilds the sample that follows prev from its narrow word.
