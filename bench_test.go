@@ -455,6 +455,47 @@ func BenchmarkRegistryTimerWheel(b *testing.B) {
 		}
 		b.ReportMetric(n, "streams")
 	})
+	// rotate-10k: 10k streams beating once a second on a fixed 1.25 s
+	// timeout, evenly phased over the second's ticks, so every re-armed
+	// entry lands on level 1 and reaches level 0 by cascade. One op is 64
+	// ticks, one level-1 slot's span, so every op cascades once. A 32 s
+	// warm-up (twice the 16 s after which the beat and cascade phases
+	// repeat) lets the wheel reach its peak before timing starts; from
+	// then on the wheel must reuse what it holds.
+	b.Run("rotate-10k", func(b *testing.B) {
+		const n, perBeat, slotSpan = 10_000, int(clock.Second / tick), 64
+		reg := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
+			return sfd.NewFixed(1250*clock.Millisecond, 1)
+		}, sfd.RegistryOptions{Shards: 64, WheelTick: tick, MaxSilence: -1})
+		peers := make([]string, n)
+		for i := range peers {
+			peers[i] = fmt.Sprintf("srv-%06d", i)
+		}
+		k := 0
+		step := func() {
+			now := clock.Time(k) * clock.Time(tick)
+			for p := k % perBeat; p < n; p += perBeat {
+				reg.Observe(sfd.HeartbeatArrival{From: peers[p], Seq: uint64(k / perBeat), Send: now, Recv: now})
+			}
+			reg.Tick(now)
+			k++
+		}
+		for k < 32*perBeat {
+			step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < slotSpan; j++ {
+				step()
+			}
+		}
+		b.StopTimer()
+		if c := reg.Counters(); c.Suspects != 0 {
+			b.Fatalf("steady-state bench produced %d suspects", c.Suspects)
+		}
+		b.ReportMetric(n, "streams")
+	})
 	// driver-{wide,tight}-10k: the registry's own driver under clock.Sim.
 	// One op is one tick of simulated time, in which the tenth of a
 	// 10k-stream fleet due to beat does so at its own phase (10 µs

@@ -75,7 +75,7 @@ func (m *monitor) logGlobalEvents(sim *clock.Sim) {
 				switch ev.Type {
 				case sfd.EventGlobalSuspect, sfd.EventGlobalOffline, sfd.EventGlobalTrust:
 					fmt.Printf("[%s t=%v] %s %s inc=%d (%s)\n",
-						m.name, time.Duration(ev.At), ev.Peer, ev.Type, ev.Incarnation, ev.Detail)
+						m.name, time.Duration(ev.At), ev.Peer, ev.Type, ev.Incarnation, ev.Detail())
 				}
 			default:
 				sim.AfterFunc(10*time.Millisecond, tick)

@@ -552,11 +552,9 @@ func (g *Gossiper) reverdictLocked(subj string, now clock.Time) {
 		Peer:        subj,
 		At:          now,
 		Incarnation: incStar,
-		Source:      g.id,
 		Suspicion:   suspMass,
-		Detail: fmt.Sprintf("quorum %d/%d monitors, mass %.2f/%.2f (offline %d, mass %.2f)",
-			suspCount, g.opts.Quorum, suspMass, g.opts.MinMass, offCount, offMass),
-	}
+	}.WithNote(g.id, fmt.Sprintf("quorum %d/%d monitors, mass %.2f/%.2f (offline %d, mass %.2f)",
+		suspCount, g.opts.Quorum, suspMass, g.opts.MinMass, offCount, offMass))
 	switch next {
 	case StateOffline:
 		ev.Type = registry.EventGlobalOffline

@@ -135,7 +135,7 @@ func TestQuorumCorroborationAndIncarnationRefutation(t *testing.T) {
 	if len(ge) != 1 || ge[0].Type != registry.EventGlobalOffline {
 		t.Fatalf("want exactly one GlobalOffline, got %+v", ge)
 	}
-	if ge[0].Peer != "s1" || ge[0].Source != "mon-a" || ge[0].Incarnation != 0 {
+	if ge[0].Peer != "s1" || ge[0].Source() != "mon-a" || ge[0].Incarnation != 0 {
 		t.Fatalf("bad GlobalOffline event: %+v", ge[0])
 	}
 	if c := g.Counters(); c.GlobalOfflines != 1 || c.OpenVerdicts != 1 {

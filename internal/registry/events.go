@@ -67,7 +67,11 @@ func (t EventType) String() string {
 	}
 }
 
-// Event is one failure-detection transition published on the bus.
+// Event is one failure-detection transition published on the bus. It is
+// 56 B: every subscription buffers up to its capacity of them, and every
+// send copies one, so the two strings that only gossip verdicts and
+// EventCannotSatisfy set live behind one pointer (nil on every other
+// event) and are read with Source and Detail.
 type Event struct {
 	Type EventType
 	Peer string
@@ -80,19 +84,47 @@ type Event struct {
 	// Incarnation is the peer incarnation the transition refers to;
 	// Global* verdicts apply only to this incarnation.
 	Incarnation uint64
-	// Source identifies the monitor that produced a Global* verdict
-	// (empty for this monitor's own local transitions).
-	Source string
-	// Detail carries auxiliary text, e.g. the self-tuner's infeasibility
-	// response for EventCannotSatisfy or the quorum tally behind a
-	// Global* verdict.
-	Detail string
+	note        *eventNote
+}
+
+// eventNote is an Event's rarely set text; see Source and Detail.
+type eventNote struct {
+	source, detail string
+}
+
+// WithNote returns a copy of e carrying source and detail (both empty
+// clears them).
+func (e Event) WithNote(source, detail string) Event {
+	e.note = nil
+	if source != "" || detail != "" {
+		e.note = &eventNote{source: source, detail: detail}
+	}
+	return e
+}
+
+// Source identifies the monitor that produced a Global* verdict (empty
+// for this monitor's own local transitions).
+func (e Event) Source() string {
+	if e.note == nil {
+		return ""
+	}
+	return e.note.source
+}
+
+// Detail carries auxiliary text, e.g. the self-tuner's infeasibility
+// response for EventCannotSatisfy or the quorum tally behind a Global*
+// verdict.
+func (e Event) Detail() string {
+	if e.note == nil {
+		return ""
+	}
+	return e.note.detail
 }
 
 // String renders the event for logs.
 func (e Event) String() string {
-	if e.Detail != "" {
-		return fmt.Sprintf("%s %s at %v: %s", e.Peer, e.Type, e.At, e.Detail)
+	if d := e.Detail(); d != "" {
+		return fmt.Sprintf("%s %s at %v: %s", e.Peer, e.Type, e.At, d)
 	}
 	return fmt.Sprintf("%s %s at %v (suspicion %.3f)", e.Peer, e.Type, e.At, e.Suspicion)
 }

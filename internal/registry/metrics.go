@@ -91,6 +91,7 @@ func (r *Registry) Metrics() *metrics.Set {
 		set.GaugeFunc("sfd_detection_marks_pending",
 			"Injected failures marked but not yet detected.",
 			func() float64 { return float64(r.markCount.Load()) })
+		set.Sampled(r.sampleWheelBlocks)
 		set.Sampled(r.sampleDetectionLatency)
 		set.Sampled(r.sampleShards)
 		if r.opts.MetricsMaxStreams > 0 {
@@ -157,6 +158,16 @@ func (r *Registry) sampleDetectionLatency(em *metrics.Emitter) {
 	em.Gauge("sfd_detection_latency_p95_seconds", d.P95)
 	em.Gauge("sfd_detection_latency_p99_seconds", d.P99)
 	em.Gauge("sfd_detection_latency_mean_seconds", d.Mean)
+}
+
+// sampleWheelBlocks emits the timer wheel's pool blocks held by slots and
+// idle on its free list, read together under the wheel's lock: their sum
+// times the 1 KiB block is the wheel's memory, which never shrinks below
+// its peak.
+func (r *Registry) sampleWheelBlocks(em *metrics.Emitter) {
+	inUse, free := r.wheel.blockStats()
+	em.Gauge(metrics.Name("sfd_registry_wheel_blocks", "state", "in_use"), float64(inUse))
+	em.Gauge(metrics.Name("sfd_registry_wheel_blocks", "state", "free"), float64(free))
 }
 
 // sampleShards emits one occupancy gauge per lock stripe — the load

@@ -64,6 +64,8 @@ func TestMetricsExposition(t *testing.T) {
 		"sfd_registry_heartbeats_total 35",
 		"sfd_registry_streams 1",
 		"sfd_registry_wheel_rearms_total",
+		"sfd_registry_wheel_blocks{state=\"in_use\"} ",
+		"sfd_registry_wheel_blocks{state=\"free\"} 0", // nothing has fired yet
 		"sfd_registry_shard_streams{shard=\"0\"}",
 		"sfd_registry_shard_streams{shard=\"3\"}",
 		"# TYPE sfd_stream_qap gauge",

@@ -391,6 +391,9 @@ func (r *Registry) Tick(now clock.Time) {
 	for _, x := range r.tickBuf {
 		r.expire(now, x)
 	}
+	// The buffer keeps its capacity: clear the names so the largest burst
+	// ever fired does not keep evicted streams' names reachable.
+	clear(r.tickBuf)
 	for len(r.fine) > 0 && !r.fine[0].at.After(now) {
 		e := r.fine.pop()
 		r.expire(now, expiry{peer: e.peer, gen: e.gen})
@@ -578,7 +581,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 		if sd.State() == core.StateInfeasible {
 			if !st.infeasible {
 				st.infeasible = true
-				evs[nev] = Event{Type: EventCannotSatisfy, Peer: a.From, At: a.Recv, Detail: sd.Response()}
+				evs[nev] = Event{Type: EventCannotSatisfy, Peer: a.From, At: a.Recv}.WithNote("", sd.Response())
 				nev++
 			}
 		} else {

@@ -210,7 +210,7 @@ func TestRegistryCannotSatisfyPublishedOncePerEpisode(t *testing.T) {
 		t.Fatalf("cannot-satisfy events = %v, want exactly 2", evs)
 	}
 	for _, ev := range evs {
-		if ev.Type != EventCannotSatisfy || ev.Detail == "" {
+		if ev.Type != EventCannotSatisfy || ev.Detail() == "" {
 			t.Fatalf("bad event %v", ev)
 		}
 	}
@@ -537,5 +537,34 @@ func TestRegisterRejectsInvalidStreamNames(t *testing.T) {
 	}
 	if c.Heartbeats != 0 {
 		t.Fatalf("Heartbeats = %d, want 0 (invalid arrivals must not count)", c.Heartbeats)
+	}
+}
+
+// TestTickBufferForgetsFiredNames: Tick reuses one buffer for the wheel's
+// due entries, so without clearing, its slots past the current length
+// would keep the names of the largest burst ever fired, and evicted
+// streams' names would stay reachable for as long as the registry lives.
+func TestTickBufferForgetsFiredNames(t *testing.T) {
+	r := New(clock.NewSim(0), func(string) detector.Detector { return detector.NewFixed(100*ms, 0) },
+		Options{WheelTick: 10 * ms, MaxSilence: -1, OfflineAfter: 100 * ms, EvictAfter: 100 * ms})
+	for i := 0; i < 200; i++ {
+		r.Observe(heartbeat.Arrival{From: fmt.Sprintf("burst-%03d", i), Seq: 1})
+	}
+	now := clock.Time(0)
+	for r.Len() > 0 {
+		if now > clock.Time(clock.Second) {
+			t.Fatalf("%d streams left after %v, want all evicted", r.Len(), now)
+		}
+		now = now.Add(10 * ms)
+		r.Tick(now)
+	}
+	r.Tick(now.Add(10 * ms)) // an empty tick
+	if cap(r.tickBuf) < 200 {
+		t.Fatalf("tick buffer capacity %d: the eviction burst never passed through it", cap(r.tickBuf))
+	}
+	for i, x := range r.tickBuf[:cap(r.tickBuf)] {
+		if x.peer != "" {
+			t.Fatalf("tick buffer slot %d still holds %q after an empty tick", i, x.peer)
+		}
 	}
 }

@@ -251,13 +251,13 @@ func appendWatchEvent(b []byte, ev Event) ([]byte, bool) {
 		b = append(b, `,"incarnation":`...)
 		b = strconv.AppendUint(b, ev.Incarnation, 10)
 	}
-	if ev.Source != "" {
+	if src := ev.Source(); src != "" {
 		b = append(b, `,"source":`...)
-		b = appendJSONString(b, ev.Source)
+		b = appendJSONString(b, src)
 	}
-	if ev.Detail != "" {
+	if d := ev.Detail(); d != "" {
 		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Detail)
+		b = appendJSONString(b, d)
 	}
 	return append(b, '}', '\n'), true
 }

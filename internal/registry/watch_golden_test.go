@@ -40,8 +40,8 @@ func encodeReference(ev Event) ([]byte, error) {
 		At:          int64(ev.At),
 		Suspicion:   ev.Suspicion,
 		Incarnation: ev.Incarnation,
-		Source:      ev.Source,
-		Detail:      ev.Detail,
+		Source:      ev.Source(),
+		Detail:      ev.Detail(),
 	})
 	return buf.Bytes(), err
 }
@@ -81,9 +81,7 @@ func watchGoldenEvents() []Event {
 				At:          ats[k%len(ats)],
 				Suspicion:   suspicions[k%len(suspicions)],
 				Incarnation: incarnations[k%len(incarnations)],
-				Source:      sources[k%len(sources)],
-				Detail:      details[k%len(details)],
-			})
+			}.WithNote(sources[k%len(sources)], details[k%len(details)]))
 		}
 	}
 	return evs
@@ -186,12 +184,12 @@ func TestWatchNonFiniteSuspicionEndsStream(t *testing.T) {
 // encoding/json rejects), reports false and appends nothing.
 func FuzzWatchEventEncoding(f *testing.F) {
 	for _, ev := range watchGoldenEvents() {
-		f.Add(uint8(ev.Type), ev.Peer, int64(ev.At), ev.Suspicion, ev.Incarnation, ev.Source, ev.Detail)
+		f.Add(uint8(ev.Type), ev.Peer, int64(ev.At), ev.Suspicion, ev.Incarnation, ev.Source(), ev.Detail())
 	}
 	f.Add(uint8(EventSuspect), "a/b", int64(1), math.NaN(), uint64(0), "", "")
 	f.Fuzz(func(t *testing.T, typ uint8, peer string, at int64, suspicion float64, inc uint64, source, detail string) {
 		ev := Event{Type: EventType(typ), Peer: peer, At: clock.Time(at), Suspicion: suspicion,
-			Incarnation: inc, Source: source, Detail: detail}
+			Incarnation: inc}.WithNote(source, detail)
 		prefix := []byte("prior line\n")
 		got, ok := appendWatchEvent(prefix, ev)
 		want, err := encodeReference(ev)

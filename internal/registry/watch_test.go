@@ -435,7 +435,7 @@ func burstEvents(t *testing.T, n, detailLen int) ([]Event, string) {
 	var lines strings.Builder
 	for i := range evs {
 		evs[i] = Event{Type: EventSuspect, Peer: fmt.Sprintf("dc/zone-1/rack-01/s-%02d", i), At: clock.Time(i + 1),
-			Suspicion: 1.25, Incarnation: 1, Detail: strings.Repeat("d", detailLen)}
+			Suspicion: 1.25, Incarnation: 1}.WithNote("", strings.Repeat("d", detailLen))
 		line, err := encodeReference(evs[i])
 		if err != nil {
 			t.Fatal(err)

@@ -39,6 +39,14 @@ import (
 // Stale entries occupy a slot until their original fire tick arrives;
 // their number is bounded by the transition rate, not the heartbeat
 // rate.
+//
+// A slot is a FIFO list of fixed-size blocks taken from one free list
+// for the whole wheel, so the wheel's memory follows its live population
+// rather than the sum of every slot's peak: draining a level-0 slot and
+// cascading an outer one hand their blocks back as they go, and the next
+// slot to fill takes them. The free list never shrinks; the wheel holds
+// its peak population, in 1 KiB blocks, and reuses it without
+// allocating.
 
 const (
 	wheelBits   = 6
@@ -54,31 +62,30 @@ type expiry struct {
 	gen  uint64
 }
 
-// wheelSlot stores its entries struct-of-arrays: three parallel slices
-// instead of one []struct. advance scans ticks — a dense []int64 — to
-// decide expiry, touching peers/gens only for entries that actually
-// fire or cascade; at 1M streams that keeps the per-tick scan inside a
-// few cache lines instead of striding over 40-byte entries whose
+// wheelBlockLen is the capacity of one pool block: 31 entries of 32 B
+// plus the n and next header make 1 008 B, which fills the runtime's
+// 1 024 B size class with no tail left over.
+const wheelBlockLen = 31
+
+// wheelBlock stores up to wheelBlockLen entries struct-of-arrays: three
+// parallel arrays instead of one []struct. A cascade scans ticks — a
+// dense [31]int64 — to decide expiry, touching peers/gens only for
+// entries that fire or move; at 1M streams that keeps the per-tick scan
+// inside a few cache lines instead of striding over 40-byte entries whose
 // string headers the comparison never needs.
+type wheelBlock struct {
+	ticks [wheelBlockLen]int64 // absolute fire tick
+	gens  [wheelBlockLen]uint64
+	peers [wheelBlockLen]string
+	n     int // entries in use, a prefix of the arrays
+	next  *wheelBlock
+}
+
+// wheelSlot is a FIFO list of blocks, filled at the tail. Every block but
+// the tail is full: a slot only ever empties whole (drained on level 0,
+// or cascaded inward).
 type wheelSlot struct {
-	ticks []int64 // absolute fire tick
-	gens  []uint64
-	peers []string
-}
-
-func (s *wheelSlot) push(tick int64, gen uint64, peer string) {
-	s.ticks = append(s.ticks, tick)
-	s.gens = append(s.gens, gen)
-	s.peers = append(s.peers, peer)
-}
-
-// reset empties the slot, keeping capacity but clearing the string
-// slice so fired peers don't pin their backing memory.
-func (s *wheelSlot) reset() {
-	clear(s.peers)
-	s.ticks = s.ticks[:0]
-	s.gens = s.gens[:0]
-	s.peers = s.peers[:0]
+	head, tail *wheelBlock
 }
 
 type timerWheel struct {
@@ -87,7 +94,12 @@ type timerWheel struct {
 	start clock.Time
 	cur   int64 // highest tick already processed
 	count int
-	slots [wheelLevels][wheelSlots]wheelSlot
+	// free is the wheel-wide list of blocks no slot holds. It never
+	// shrinks, so the wheel's memory is its peak population in blocks.
+	free   *wheelBlock
+	blocks int // blocks ever allocated
+	idle   int // blocks on free
+	slots  [wheelLevels][wheelSlots]wheelSlot
 }
 
 func newTimerWheel(tick clock.Duration, start clock.Time) *timerWheel {
@@ -131,44 +143,86 @@ func (w *timerWheel) place(ticks int64, gen uint64, peer string) {
 	for l := 0; l < wheelLevels; l++ {
 		if delta < int64(1)<<uint((l+1)*wheelBits) || l == wheelLevels-1 {
 			idx := (ticks >> uint(l*wheelBits)) & wheelMask
-			w.slots[l][idx].push(ticks, gen, peer)
+			w.push(&w.slots[l][idx], ticks, gen, peer)
 			return
 		}
 	}
 }
 
+// push appends an entry to slot s, taking a block from the free list (or
+// the heap, when the list is empty) once the tail block is full. Must
+// hold mu.
+func (w *timerWheel) push(s *wheelSlot, tick int64, gen uint64, peer string) {
+	b := s.tail
+	if b == nil || b.n == wheelBlockLen {
+		nb := w.free
+		if nb != nil {
+			w.free, nb.next = nb.next, nil
+			w.idle--
+		} else {
+			nb = new(wheelBlock)
+			w.blocks++
+		}
+		if b == nil {
+			s.head = nb
+		} else {
+			b.next = nb
+		}
+		s.tail, b = nb, nb
+	}
+	b.ticks[b.n], b.gens[b.n], b.peers[b.n] = tick, gen, peer
+	b.n++
+}
+
+// release returns b to the free list and the block after it, clearing
+// b's names so fired peers do not pin their backing memory. Must hold mu.
+func (w *timerWheel) release(b *wheelBlock) *wheelBlock {
+	next := b.next
+	clear(b.peers[:b.n])
+	b.n, b.next = 0, w.free
+	w.free = b
+	w.idle++
+	return next
+}
+
 // advance moves the wheel to instant now, appending every due entry to
 // expired (which may be nil) and returning it. Entries cascade from
-// outer levels toward level 0 as their slots come into range.
+// outer levels toward level 0 as their slots come into range; each
+// source block goes back to the free list as soon as its entries are
+// re-placed, so a cascade needs at most one block more than the entries
+// it holds.
 func (w *timerWheel) advance(now clock.Time, expired []expiry) []expiry {
 	w.mu.Lock()
 	target := int64(now.Sub(w.start)) / int64(w.tick)
 	for w.cur < target {
 		w.cur++
 		slot := &w.slots[0][w.cur&wheelMask]
-		for i := range slot.ticks {
-			expired = append(expired, expiry{peer: slot.peers[i], gen: slot.gens[i]})
-			w.count--
+		for b := slot.head; b != nil; b = w.release(b) {
+			for i := 0; i < b.n; i++ {
+				expired = append(expired, expiry{peer: b.peers[i], gen: b.gens[i]})
+			}
+			w.count -= b.n
 		}
-		slot.reset()
+		*slot = wheelSlot{}
 		// Each time a level's index wraps to 0 the next outer level's
 		// current slot comes into range: redistribute it inward.
 		for l := 1; l < wheelLevels; l++ {
 			if (w.cur>>uint((l-1)*wheelBits))&wheelMask != 0 {
 				break
 			}
-			idx := (w.cur >> uint(l*wheelBits)) & wheelMask
-			src := &w.slots[l][idx]
+			src := &w.slots[l][(w.cur>>uint(l*wheelBits))&wheelMask]
 			// place may append into this very slot on the innermost
-			// level; detach the arrays before redistributing.
-			ticks, gens, peers := src.ticks, src.gens, src.peers
-			src.ticks, src.gens, src.peers = nil, nil, nil
-			for i := range ticks {
-				if ticks[i] <= w.cur {
-					expired = append(expired, expiry{peer: peers[i], gen: gens[i]})
-					w.count--
-				} else {
-					w.place(ticks[i], gens[i], peers[i])
+			// level; detach its blocks before redistributing.
+			b := src.head
+			*src = wheelSlot{}
+			for ; b != nil; b = w.release(b) {
+				for i := 0; i < b.n; i++ {
+					if b.ticks[i] <= w.cur {
+						expired = append(expired, expiry{peer: b.peers[i], gen: b.gens[i]})
+						w.count--
+					} else {
+						w.place(b.ticks[i], b.gens[i], b.peers[i])
+					}
 				}
 			}
 		}
@@ -197,6 +251,14 @@ func (w *timerWheel) len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.count
+}
+
+// blockStats returns the number of blocks slots hold and the number on
+// the free list.
+func (w *timerWheel) blockStats() (inUse, free int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.blocks - w.idle, w.idle
 }
 
 // fineGrid is the step of the driver's fine sleeps (capped at WheelTick):
