@@ -194,6 +194,9 @@ func (c *config) validate() error {
 		if c.ramp < 0 {
 			return fmt.Errorf("-ramp must be non-negative (got %v)", c.ramp)
 		}
+		if len(c.hbName) > sfd.MaxHeartbeatNameLen {
+			return fmt.Errorf("-name must be at most %d bytes (got %d)", sfd.MaxHeartbeatNameLen, len(c.hbName))
+		}
 	case "monitor", "aggregate":
 		// The status loop runs on a time.Ticker, which panics on these.
 		if c.refresh <= 0 {
@@ -289,10 +292,7 @@ func runSender(c *config) {
 			c.chaos.Name, ctl.Seed(), len(c.chaos.Steps))
 	}
 
-	// The paced sender shares the load harness's timing model, so a
-	// hand-run sender paces exactly like a harness fleet member.
-	snd, err := sfd.NewPacedHeartbeatSender(ep, c.to, c.hbName,
-		sfd.LoadPacer{Interval: c.interval, Jitter: c.jitter, Ramp: c.ramp}, 0, hbClk)
+	snd, err := newSender(c, ep, hbClk)
 	if err != nil {
 		fatal(err)
 	}
@@ -316,6 +316,18 @@ func runSender(c *config) {
 		fmt.Printf("sfdmon: chaos injected loss=%d partition=%d delayed=%d reordered=%d duplicated=%d truncated=%d\n",
 			c.LossDrops, c.PartDrops, c.Delayed, c.Reordered, c.Duplicated, c.Truncated)
 	}
+}
+
+// newSender builds the -mode send heartbeat sender from the flags. Each
+// call draws its own ramp delay and jitter stream, so a fleet of sfdmon
+// senders started with the same flags does not beat in phase.
+func newSender(c *config, ep sfd.Endpoint, clk sfd.Clock) (*sfd.HeartbeatSender, error) {
+	snd := sfd.NewHeartbeatSender(ep, c.to, c.interval, clk)
+	snd.SetName(c.hbName)
+	if err := snd.Pace(c.jitter, c.ramp); err != nil {
+		return nil, err
+	}
+	return snd, nil
 }
 
 func splitPeers(s string) []string {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestValidate(t *testing.T) {
@@ -35,6 +36,9 @@ func TestValidate(t *testing.T) {
 		{"-mode send -jitter 1", "-jitter must be in [0,1)"},
 		{"-mode send -jitter -0.1", "-jitter must be in [0,1)"},
 		{"-mode send -ramp -1s", "-ramp must be non-negative"},
+		{"-mode send -name " + strings.Repeat("x", 255), ""},
+		// Reached Sender.SetName and panicked before validate checked it.
+		{"-mode send -name " + strings.Repeat("x", 256), "-name must be at most 255 bytes"},
 		{"-mode monitor -gossip", "-gossip requires -gossip-peers"},
 		{"-mode monitor -gossip -gossip-peers ,", "-gossip requires -gossip-peers"},
 		{"-mode aggregate -gossip", ""}, // a monitor flag
@@ -42,15 +46,12 @@ func TestValidate(t *testing.T) {
 		{"-mode serve", `unknown mode "serve"`},
 	}
 	for _, tc := range cases {
-		var c config
-		fs := flag.NewFlagSet("sfdmon", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		c.bind(fs)
-		if err := fs.Parse(strings.Split(tc.args, " ")); err != nil {
+		c, err := parse(tc.args)
+		if err != nil {
 			t.Errorf("%q: flags did not parse: %v", tc.args, err)
 			continue
 		}
-		err := c.validate()
+		err = c.validate()
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%q: rejected: %v", tc.args, err)
@@ -59,5 +60,37 @@ func TestValidate(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%q: error %q, want it to contain %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+func parse(args string) (*config, error) {
+	var c config
+	fs := flag.NewFlagSet("sfdmon", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.bind(fs)
+	return &c, fs.Parse(strings.Split(args, " "))
+}
+
+// TestSendersFromSameFlagsDrawDifferentRamps: -ramp exists to spread a
+// fleet's first beats, so two sfdmon senders started with identical
+// flags must not draw the same start delay.
+func TestSendersFromSameFlagsDrawDifferentRamps(t *testing.T) {
+	var delays [2]time.Duration
+	for i := range delays {
+		c, err := parse("-mode send -ramp 1h -jitter 0.2")
+		if err == nil {
+			err = c.validate()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		snd, err := newSender(c, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delays[i] = snd.StartDelay()
+	}
+	if delays[0] == delays[1] {
+		t.Fatalf("both senders drew start delay %v", delays[0])
 	}
 }

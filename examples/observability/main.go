@@ -11,7 +11,7 @@
 // is killed and the kill instant handed to Registry.MarkFailure, so the
 // registry's next suspect transition for that stream lands a sample in
 // the sfd_detection_latency_seconds histogram — the same wiring the
-// load harness (cmd/sfdload) uses to measure latency at fleet scale.
+// consortium experiment (internal/bench) uses to score its crashes.
 package main
 
 import (

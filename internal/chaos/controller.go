@@ -62,12 +62,6 @@ type Controller struct {
 	logCap   int
 	decided  uint64 // decision ordinal (the log's first column)
 
-	// stepFns observe impairment arm/disarm transitions (scenario steps
-	// and manual calls alike) — the programmatic form of the injection
-	// log's timeline, used by load harnesses to correlate QoS dips with
-	// impairment windows. Guarded by mu; invoked outside it.
-	stepFns []func(StepEvent)
-
 	sentSeen   atomic.Uint64
 	recvSeen   atomic.Uint64
 	lossDrops  atomic.Uint64
@@ -114,46 +108,6 @@ func (c *Controller) SetLogCap(n int) {
 	c.mu.Unlock()
 }
 
-// StepEvent is one impairment transition: an impairment armed
-// (Armed=true) or disarmed, at instant At, under scenario Scenario (""
-// for manual Arm/Disarm outside a Play timeline).
-type StepEvent struct {
-	Scenario   string
-	ID         uint64
-	Impairment Impairment
-	Armed      bool
-	At         clock.Time
-}
-
-// OnStep registers fn to observe every subsequent impairment transition.
-// Callbacks run synchronously on the arming/disarming goroutine (a
-// scenario timer under Play, the caller otherwise), so they must be
-// fast; they must not call back into Arm/Disarm.
-func (c *Controller) OnStep(fn func(StepEvent)) {
-	if fn == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stepFns = append(c.stepFns, fn)
-	c.mu.Unlock()
-}
-
-// notifyStep fans a transition out to the registered observers. The
-// controller mutex must not be held.
-func (c *Controller) notifyStep(id uint64, im Impairment, armed bool, at clock.Time) {
-	c.mu.Lock()
-	fns := c.stepFns
-	scenario := c.scenario
-	c.mu.Unlock()
-	if len(fns) == 0 {
-		return
-	}
-	ev := StepEvent{Scenario: scenario, ID: id, Impairment: im, Armed: armed, At: at}
-	for _, fn := range fns {
-		fn(ev)
-	}
-}
-
 // Arm activates an impairment immediately and returns its id for
 // Disarm. Invalid impairments are rejected.
 func (c *Controller) Arm(im Impairment) (uint64, error) {
@@ -186,7 +140,6 @@ func (c *Controller) armUntil(im Impairment, until clock.Time) (uint64, error) {
 	for _, sc := range clocks {
 		sc.SetSkew(clock.Duration(im.Offset), im.DriftPPM)
 	}
-	c.notifyStep(id, im, true, now)
 	return id, nil
 }
 
@@ -197,10 +150,9 @@ func (c *Controller) Disarm(id uint64) bool {
 	c.mu.Lock()
 	idx := -1
 	var wasSkew bool
-	var disarmed Impairment
 	for i, a := range c.armedSet {
 		if a.id == id {
-			idx, wasSkew, disarmed = i, a.imp.Kind == KindSkew, a.imp
+			idx, wasSkew = i, a.imp.Kind == KindSkew
 			break
 		}
 	}
@@ -234,24 +186,19 @@ func (c *Controller) Disarm(id uint64) bool {
 	for _, sc := range apply {
 		sc.SetSkew(clock.Duration(remaining.Offset), remaining.DriftPPM)
 	}
-	c.notifyStep(id, disarmed, false, c.clk.Now())
 	return true
 }
 
 // DisarmAll clears every impairment and resets attached clocks.
 func (c *Controller) DisarmAll() {
 	c.mu.Lock()
-	cleared := c.armedSet
+	cleared := len(c.armedSet)
 	c.armedSet = nil
 	clocks := append([]*SkewedClock(nil), c.clocks...)
 	c.mu.Unlock()
-	c.stepsClear.Add(uint64(len(cleared)))
+	c.stepsClear.Add(uint64(cleared))
 	for _, sc := range clocks {
 		sc.SetSkew(0, 0)
-	}
-	now := c.clk.Now()
-	for _, a := range cleared {
-		c.notifyStep(a.id, a.imp, false, now)
 	}
 }
 

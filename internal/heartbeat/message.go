@@ -34,9 +34,10 @@ const (
 // wire format v3 appends a logical stream name: the v2 layout followed by
 // nameLen(1) name(1..255) = 29+len bytes. A named heartbeat identifies its
 // stream by the carried name instead of the datagram's source address, so
-// one socket can multiplex many logical senders (a load harness pooling
-// sockets under the file-descriptor limit) and a sender surviving a NAT
-// rebind keeps its identity across the source-port change. Nameless
+// one socket can multiplex many logical senders (a fleet simulator
+// pooling sockets under the file-descriptor limit) and a sender
+// surviving a NAT rebind keeps its identity across the source-port
+// change. Nameless
 // messages marshal as v2, so v3 is invisible until someone uses it.
 const (
 	msgSizeV1   = 20

@@ -1,6 +1,8 @@
 package heartbeat
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +19,12 @@ type Sender struct {
 	to       string
 	interval time.Duration
 	clk      clock.Clock
+
+	// Pacing, set by Pace before Start: each gap is drawn from
+	// interval·[1−jitter, 1+jitter], and the first beat waits delay.
+	jitter float64
+	delay  time.Duration
+	rng    *rand.Rand
 
 	seq     uint64 // next sequence number (atomic)
 	inc     atomic.Uint64
@@ -42,12 +50,61 @@ func NewSender(ep transport.Endpoint, to string, interval time.Duration, clk clo
 	}
 }
 
+// Pace desynchronizes the sender from its fleet: every gap is jittered
+// uniformly by ±jitter·interval (jitter in [0,1); 0 keeps the fixed
+// cadence), and the first beat waits a delay drawn uniformly from
+// [0, ramp). Each sender draws from its own randomly seeded stream, so
+// senders paced alike still start and beat out of phase. Call it before
+// Start.
+func (s *Sender) Pace(jitter float64, ramp time.Duration) error {
+	return s.pace(jitter, ramp, rand.New(rand.NewSource(rand.Int63())))
+}
+
+func (s *Sender) pace(jitter float64, ramp time.Duration, rng *rand.Rand) error {
+	if jitter < 0 || jitter >= 1 {
+		return fmt.Errorf("heartbeat: jitter must be in [0,1) (got %g)", jitter)
+	}
+	if ramp < 0 {
+		return fmt.Errorf("heartbeat: ramp must be non-negative (got %v)", ramp)
+	}
+	s.jitter, s.rng, s.delay = jitter, rng, 0
+	if ramp > 0 {
+		s.delay = time.Duration(rng.Int63n(int64(ramp)))
+	}
+	return nil
+}
+
+// StartDelay is how long Start waits before the first heartbeat: the
+// draw Pace made from its ramp, 0 without one.
+func (s *Sender) StartDelay() time.Duration { return s.delay }
+
+// next draws the gap to the following heartbeat.
+func (s *Sender) next() time.Duration {
+	if s.jitter == 0 {
+		return s.interval
+	}
+	d := time.Duration((1 + s.jitter*(2*s.rng.Float64()-1)) * float64(s.interval))
+	if d <= 0 {
+		d = time.Millisecond
+	}
+	return d
+}
+
 // Start launches the heartbeat loop in its own goroutine. Also answers
 // nothing — senders only transmit; the Receiver handles pings.
 func (s *Sender) Start() {
 	go func() {
 		defer close(s.done)
-		ticker := time.NewTicker(s.interval)
+		if s.delay > 0 {
+			t := time.NewTimer(s.delay)
+			select {
+			case <-s.stop:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+		}
+		ticker := time.NewTicker(s.next())
 		defer ticker.Stop()
 		// Send the first heartbeat immediately so monitors see the
 		// process as soon as it starts.
@@ -61,6 +118,9 @@ func (s *Sender) Start() {
 					return
 				}
 				s.emit()
+				if s.jitter > 0 {
+					ticker.Reset(s.next())
+				}
 			}
 		}
 	}()

@@ -58,19 +58,6 @@ func (r *Registry) MarkFailure(peer string, at clock.Time) {
 	r.marksMu.Unlock()
 }
 
-// UnmarkFailure withdraws a pending mark (e.g. the harness restarted the
-// process before detection), reporting whether one was outstanding.
-func (r *Registry) UnmarkFailure(peer string) bool {
-	r.marksMu.Lock()
-	_, ok := r.marks[peer]
-	if ok {
-		delete(r.marks, peer)
-		r.markCount.Add(-1)
-	}
-	r.marksMu.Unlock()
-	return ok
-}
-
 // clearMark drops peer's mark if the accepted arrival at recv postdates
 // it by more than the settle grace. Called from Observe only while marks
 // are outstanding.

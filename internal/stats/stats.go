@@ -3,8 +3,8 @@
 // moment accumulators (Welford), exponentially weighted moving averages
 // (the building block of Bertier's Jacobson-style estimator), normal
 // distribution functions (the heart of the φ accrual detector), fixed-bin
-// histograms, the P² streaming quantile estimator, and simple linear
-// regression (used for clock-drift estimation in trace analysis).
+// histograms, and simple linear regression (used for clock-drift
+// estimation in trace analysis).
 package stats
 
 import (

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -353,83 +352,6 @@ func TestQuantilesBatch(t *testing.T) {
 	}
 	if _, err := Quantiles(nil, 0.5); err != ErrNoSamples {
 		t.Fatal("empty Quantiles should error")
-	}
-}
-
-func TestP2QuantileSmallSampleExact(t *testing.T) {
-	e := NewP2Quantile(0.5)
-	if e.Value() != 0 {
-		t.Fatal("empty P2 should return 0")
-	}
-	e.Add(3)
-	e.Add(1)
-	e.Add(2)
-	if e.Value() != 2 {
-		t.Fatalf("small-sample median = %v, want 2", e.Value())
-	}
-	if e.Count() != 3 {
-		t.Fatal("Count wrong")
-	}
-}
-
-func TestP2QuantileConvergesOnUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		e := NewP2Quantile(p)
-		for i := 0; i < 50000; i++ {
-			e.Add(rng.Float64() * 100)
-		}
-		want := p * 100
-		if math.Abs(e.Value()-want) > 2.5 {
-			t.Errorf("P2(%v) = %v, want ~%v", p, e.Value(), want)
-		}
-	}
-}
-
-func TestP2QuantileConvergesOnNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	e := NewP2Quantile(0.95)
-	for i := 0; i < 100000; i++ {
-		e.Add(rng.NormFloat64()*10 + 50)
-	}
-	want := 50 + 10*NormalQuantile(0.95)
-	if math.Abs(e.Value()-want) > 1.0 {
-		t.Fatalf("P2 p95 = %v, want ~%v", e.Value(), want)
-	}
-}
-
-func TestP2InvalidPanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("p=%v did not panic", p)
-				}
-			}()
-			NewP2Quantile(p)
-		}()
-	}
-}
-
-func TestP2BoundedByMinMaxProperty(t *testing.T) {
-	f := func(raw []int16, pSel uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p := 0.1 + 0.8*float64(pSel)/255
-		e := NewP2Quantile(p)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range raw {
-			x := float64(v)
-			e.Add(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		v := e.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -50,7 +50,6 @@ import (
 	"repro/internal/federate"
 	"repro/internal/gossip"
 	"repro/internal/heartbeat"
-	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/persist"
@@ -319,7 +318,12 @@ func NewHub(lossRate float64, delay Duration, seed int64) *transport.Hub {
 	return transport.NewHub(lossRate, delay, seed)
 }
 
-// NewHeartbeatSender emits a heartbeat to `to` every interval.
+// MaxHeartbeatNameLen is the longest stream name a named heartbeat
+// carries (HeartbeatSender.SetName panics beyond it).
+const MaxHeartbeatNameLen = heartbeat.MaxNameLen
+
+// NewHeartbeatSender emits a heartbeat to `to` every interval; Pace adds
+// per-beat jitter and a random start delay.
 func NewHeartbeatSender(ep Endpoint, to string, interval Duration, clk Clock) *HeartbeatSender {
 	return heartbeat.NewSender(ep, to, interval, clk)
 }
@@ -760,76 +764,3 @@ type (
 // NewConsensus builds a simulated consensus cluster whose processes
 // monitor each other with detectors from Options.Factory (default: Chen).
 func NewConsensus(opts ConsensusOptions) *ConsensusCluster { return consensus.New(opts) }
-
-// Load harness (internal/load): real-traffic scenario driver spawning
-// tens of thousands of named UDP heartbeat senders over a socket pool,
-// injecting kill / restart / NAT-rebind faults on a timeline, and
-// scoring ground-truth detection latency against the monitor's /watch
-// stream. `cmd/sfdload` is the CLI front end.
-type (
-	// LoadPacer shapes sender timing: interval, jitter, ramp.
-	LoadPacer = load.Pacer
-	// LoadSpec is a complete load scenario (cohorts, faults, bounds).
-	LoadSpec = load.Spec
-	// LoadCohort is one homogeneous slice of a load fleet.
-	LoadCohort = load.CohortSpec
-	// LoadFault schedules one kill/rebind wave over a cohort.
-	LoadFault = load.FaultSpec
-	// LoadBounds are the pass/fail gates a run is scored against.
-	LoadBounds = load.Bounds
-	// LoadReport is a run's JSON artifact.
-	LoadReport = load.Report
-	// LoadFleet runs N logical senders over a pooled socket set.
-	LoadFleet = load.Fleet
-	// LoadFleetOptions configures a fleet cohort.
-	LoadFleetOptions = load.FleetOptions
-	// PacedSender is a single jitter/ramp-paced heartbeat sender.
-	PacedSender = load.PacedSender
-	// LoadFederationSpec is a federation-HA load scenario: heartbeat
-	// fleets → leaf monitors → an HA aggregator pair over real loopback
-	// UDP, with a scripted kill (and restart) of the active aggregator.
-	LoadFederationSpec = load.FederationSpec
-	// LoadFederationBounds are a federation-HA run's pass/fail gates
-	// (promotion latency, /fleet availability gap, lost transitions).
-	LoadFederationBounds = load.FederationBounds
-	// LoadFederationReport is a federation-HA run's JSON artifact.
-	LoadFederationReport = load.FederationReport
-)
-
-// LoadPresets lists the built-in load scenarios.
-func LoadPresets() []string { return load.Presets() }
-
-// LoadPreset returns a built-in load scenario by name (datacenter,
-// mobile, mixed-fleet); adjust Total/Duration/Bounds before RunLoad.
-func LoadPreset(name string) (LoadSpec, error) { return load.Preset(name) }
-
-// RunLoad executes a load scenario end to end and returns its scored
-// report; progress (nil to silence) gets periodic status lines.
-func RunLoad(spec LoadSpec, progress io.Writer) (*LoadReport, error) {
-	return load.Run(spec, progress)
-}
-
-// NewLoadFleet builds (without starting) a fleet of logical senders.
-func NewLoadFleet(opts LoadFleetOptions) (*LoadFleet, error) { return load.NewFleet(opts) }
-
-// LoadFederationPreset returns the built-in federation-HA scenario;
-// adjust StreamsPerLeaf / Duration / Bounds before RunLoadFederation.
-func LoadFederationPreset() LoadFederationSpec { return load.FederationPreset() }
-
-// RunLoadFederation executes a federation-HA scenario end to end —
-// leaves and an aggregator pair under live heartbeat load, the active
-// aggregator killed (and restarted) on a timeline — and scores the
-// failover by polling both /fleet surfaces: promotion latency, longest
-// availability gap, and transition totals that must not regress.
-func RunLoadFederation(spec LoadFederationSpec, progress io.Writer) (*LoadFederationReport, error) {
-	return load.RunFederation(spec, progress)
-}
-
-// NewPacedHeartbeatSender builds a single paced sender: heartbeats to
-// `to` through ep every pacer interval ± jitter, after a ramp delay. A
-// non-empty name sends wire-v3 named heartbeats (the monitor keys the
-// stream by name instead of source address, so it survives NAT
-// rebinds).
-func NewPacedHeartbeatSender(ep Endpoint, to, name string, pacer LoadPacer, seed int64, clk Clock) (*PacedSender, error) {
-	return load.NewPacedSender(ep, to, name, pacer, seed, clk)
-}
