@@ -2,7 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -93,14 +99,99 @@ func TestGeneratorSeedChangesTrace(t *testing.T) {
 	}
 }
 
+// TestGeneratorCount: Collect over a generator yields exactly the
+// records an unsized Next drain of the same generator would, including
+// a negative Count and a generator already drained part-way.
 func TestGeneratorCount(t *testing.T) {
-	for _, n := range []int{0, 1, 17, 1000} {
+	cases := []struct {
+		count, drained int // drained: records taken by Next before Collect
+		want           int
+	}{
+		{0, 0, 0},
+		{1, 0, 1},
+		{17, 0, 17},
+		{1000, 0, 1000},
+		{-5, 0, 0},
+		{1000, 400, 600},
+		{17, 17, 0},
+	}
+	for _, c := range cases {
 		gp, _ := Preset("WAN-2")
-		gp.Count = n
-		tr := Collect(gp.Meta, NewGenerator(gp))
-		if tr.Len() != n {
-			t.Fatalf("Count=%d produced %d records", n, tr.Len())
+		gp.Count = c.count
+		g, ref := NewGenerator(gp), NewGenerator(gp)
+		for i := 0; i < c.drained; i++ {
+			g.Next()
+			ref.Next()
 		}
+		tr := Collect(gp.Meta, g)
+		if tr.Len() != c.want {
+			t.Fatalf("Count=%d drained %d: produced %d records, want %d", c.count, c.drained, tr.Len(), c.want)
+		}
+		for i := 0; ; i++ {
+			r, ok := ref.Next()
+			if !ok {
+				if i != tr.Len() {
+					t.Fatalf("Count=%d drained %d: Next drain ends at %d, Collect at %d", c.count, c.drained, i, tr.Len())
+				}
+				break
+			}
+			if i >= tr.Len() || tr.Records[i] != r {
+				t.Fatalf("Count=%d drained %d: record %d differs from the Next drain", c.count, c.drained, i)
+			}
+		}
+	}
+}
+
+// generatorGolden pins the SHA-256 of each preset's first 100 000
+// records (Seq, SendTime, RecvTime, Lost, little-endian), so a change to
+// the generator's arithmetic or draw order fails here, not only in the
+// benchmark module's replay golden. Pinned on amd64, as that golden is:
+// math.Pow and fused multiply-adds may round differently elsewhere.
+var generatorGolden = map[string]string{
+	"WAN-JPCH": "859577da1992efc8e3026afd0dd046fe8f1e67d804e3e04550334f43ea9f4a4a",
+	"WAN-1":    "2fa24657b81ed1003c694288191f6d65a5eb99b205c0732ee859478ad401cd7b",
+	"WAN-2":    "584b746da26052076c94d4ea687f8069b3b4a5fd7190ca4082059e11cbd489bb",
+	"WAN-3":    "8f3b9f02563f5f55006e4c990d094db1cd99a035b3e7a2a0177f0df99563e300",
+	"WAN-4":    "a79814bcbf3ed37fc75b7a845695f7e49204cfdc0de5df24328aeaf7c774ebd4",
+	"WAN-5":    "a581f2310e64d711f61fa8b30a7204d971fb2b9e4eded75913feafaad29f71e9",
+	"WAN-6":    "378791c87843f20ea5fa4f2d7535ff574eeb4a25005bee4acc92e0c71026a2a5",
+}
+
+func TestGeneratorGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("generator hashes are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	got := map[string]string{}
+	for _, name := range PresetNames() {
+		gp, _ := Preset(name)
+		gp.Count = 100_000
+		h := sha256.New()
+		var buf [25]byte
+		for _, r := range Collect(gp.Meta, NewGenerator(gp)).Records {
+			binary.LittleEndian.PutUint64(buf[0:], r.Seq)
+			binary.LittleEndian.PutUint64(buf[8:], uint64(r.SendTime))
+			binary.LittleEndian.PutUint64(buf[16:], uint64(r.RecvTime))
+			buf[24] = 0
+			if r.Lost {
+				buf[24] = 1
+			}
+			h.Write(buf[:])
+		}
+		got[name] = hex.EncodeToString(h.Sum(nil))
+	}
+	drift := false
+	for _, name := range PresetNames() {
+		if got[name] != generatorGolden[name] {
+			t.Errorf("%s: records hash %s, pinned %s", name, got[name], generatorGolden[name])
+			drift = true
+		}
+	}
+	if drift {
+		var b strings.Builder
+		for _, name := range PresetNames() {
+			fmt.Fprintf(&b, "\t%q: %q,\n", name, got[name])
+		}
+		t.Logf("new table:\n%s", b.String())
 	}
 }
 
