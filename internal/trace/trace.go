@@ -94,8 +94,15 @@ func (t *Trace) Stream() Stream { return NewCursor(t) }
 func (t *Trace) Len() int { return len(t.Records) }
 
 // Collect materializes a stream into a Trace with the given metadata.
+// A *Generator knows how many records it has left, so its Records are
+// allocated once at that size instead of regrown by append.
 func Collect(meta Meta, s Stream) *Trace {
 	t := &Trace{Meta: meta}
+	if g, ok := s.(*Generator); ok {
+		if n := g.p.Count - int(g.seq); n > 0 {
+			t.Records = make([]Record, 0, n)
+		}
+	}
 	for {
 		r, ok := s.Next()
 		if !ok {

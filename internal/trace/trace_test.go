@@ -586,3 +586,18 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		g.Next()
 	}
 }
+
+// BenchmarkCollect materializes 100 000 WAN-1 records. A generator's
+// trace is sized once, so this reports 2 allocs/op (the Trace and its
+// Records array); CI gates that.
+func BenchmarkCollect(b *testing.B) {
+	gp, _ := Preset("WAN-1")
+	gp.Count = 100_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := NewGenerator(gp)
+		b.StartTimer()
+		Collect(gp.Meta, g)
+	}
+}
