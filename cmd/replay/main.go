@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,84 +28,136 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		env   = flag.String("env", "", "generate this WAN preset instead of reading a file")
-		in    = flag.String("in", "", "binary trace file to replay")
-		n     = flag.Int("n", trace.DefaultCount, "heartbeats when generating")
-		fd    = flag.String("fd", "sfd", "detector: sfd, chen, bertier, phi, fixed")
-		ws    = flag.Int("ws", detector.DefaultWindowSize, "window size")
-		alpha = flag.Duration("alpha", 100*time.Millisecond, "chen: safety margin α")
-		phi   = flag.Float64("phi", 8, "phi: threshold Φ")
-		fixed = flag.Duration("timeout", time.Second, "fixed: timeout")
-		sm1   = flag.Duration("sm1", 100*time.Millisecond, "sfd: initial margin SM₁")
-		maxTD = flag.Duration("maxtd", 900*time.Millisecond, "sfd: target max detection time")
-		maxMR = flag.Float64("maxmr", 0.35, "sfd: target max mistake rate (1/s)")
-		minQA = flag.Float64("minqap", 0.994, "sfd: target min query accuracy probability")
-		sweep = flag.String("sweep", "", "comma-separated parameter list (ms for chen/sfd/fixed, raw for phi)")
-		crash = flag.Uint64("crash", 0, "inject a crash at this sequence number")
-	)
-	flag.Parse()
+// config is every replay flag: bind registers them and validate checks
+// them, resolving -sweep, before any work.
+type config struct {
+	env, in string
+	n       int
+	fd      string
+	ws      int
+	alpha   time.Duration
+	phi     float64
+	fixed   time.Duration
+	sm1     time.Duration
+	maxTD   time.Duration
+	maxMR   float64
+	minQA   float64
+	sweep   string
+	crash   uint64
 
-	tr, err := loadTrace(*env, *in, *n)
+	params []float64 // -sweep resolved by validate; nil without it
+}
+
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.env, "env", "", "generate this WAN preset instead of reading a file")
+	fs.StringVar(&c.in, "in", "", "binary trace file to replay")
+	fs.IntVar(&c.n, "n", trace.DefaultCount, "heartbeats when generating")
+	fs.StringVar(&c.fd, "fd", "sfd", "detector: sfd, chen, bertier, phi, fixed")
+	fs.IntVar(&c.ws, "ws", detector.DefaultWindowSize, "window size")
+	fs.DurationVar(&c.alpha, "alpha", 100*time.Millisecond, "chen: safety margin α")
+	fs.Float64Var(&c.phi, "phi", 8, "phi: threshold Φ")
+	fs.DurationVar(&c.fixed, "timeout", time.Second, "fixed: timeout")
+	fs.DurationVar(&c.sm1, "sm1", 100*time.Millisecond, "sfd: initial margin SM₁")
+	fs.DurationVar(&c.maxTD, "maxtd", 900*time.Millisecond, "sfd: target max detection time")
+	fs.Float64Var(&c.maxMR, "maxmr", 0.35, "sfd: target max mistake rate (1/s)")
+	fs.Float64Var(&c.minQA, "minqap", 0.994, "sfd: target min query accuracy probability")
+	fs.StringVar(&c.sweep, "sweep", "", "comma-separated parameter list (ms for chen/sfd/fixed, raw for phi)")
+	fs.Uint64Var(&c.crash, "crash", 0, "inject a crash at this sequence number")
+}
+
+// validate rejects flag values replay cannot run with; main turns its
+// error into exit status 2. -n is read only when generating (-env
+// without -in).
+func (c *config) validate() error {
+	switch {
+	case c.in == "" && c.env == "":
+		return errors.New("need -env or -in")
+	case c.in == "":
+		if _, err := trace.Preset(c.env); err != nil {
+			return err
+		}
+		if c.n < 1 {
+			return fmt.Errorf("-n must be at least 1 (got %d)", c.n)
+		}
+	}
+	switch c.fd {
+	case "sfd", "chen", "bertier", "phi", "fixed":
+	default:
+		return fmt.Errorf("unknown detector %q", c.fd)
+	}
+	// The detectors fall back to a 1000-sample window on these.
+	if c.ws < 1 {
+		return fmt.Errorf("-ws must be at least 1 (got %d)", c.ws)
+	}
+	if c.sweep != "" {
+		for _, tok := range strings.Split(c.sweep, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+			if err != nil {
+				return fmt.Errorf("bad sweep value %q: %v", tok, err)
+			}
+			c.params = append(c.params, v)
+		}
+	}
+	return nil
+}
+
+func main() {
+	var c config
+	c.bind(flag.CommandLine)
+	flag.Parse()
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+		os.Exit(2)
+	}
+
+	tr, err := loadTrace(c.env, c.in, c.n)
 	if err != nil {
 		fatal(err)
 	}
 
-	targets := core.Targets{MaxTD: *maxTD, MaxMR: *maxMR, MinQAP: *minQA}
+	targets := core.Targets{MaxTD: c.maxTD, MaxMR: c.maxMR, MinQAP: c.minQA}
 	factory := func(param float64) detector.Detector {
 		d := clock.Duration(param * float64(time.Millisecond))
-		switch *fd {
+		switch c.fd {
 		case "chen":
-			return detector.NewChen(*ws, 0, d)
+			return detector.NewChen(c.ws, 0, d)
 		case "bertier":
-			return detector.NewBertier(*ws, 0, detector.DefaultBertierParams())
+			return detector.NewBertier(c.ws, 0, detector.DefaultBertierParams())
 		case "phi":
-			return detector.NewPhi(*ws, param, 0)
+			return detector.NewPhi(c.ws, param, 0)
 		case "fixed":
-			return detector.NewFixed(d, *ws)
-		case "sfd":
+			return detector.NewFixed(d, c.ws)
+		default: // "sfd"; validate admits no other name
 			// HistoryCap: keep every slot, so "adjustments" below counts them all.
-			return core.New(core.Config{WindowSize: *ws, InitialMargin: d, Targets: targets, HistoryCap: len(tr.Records)})
-		default:
-			fatal(fmt.Errorf("unknown detector %q", *fd))
-			return nil
+			return core.New(core.Config{WindowSize: c.ws, InitialMargin: d, Targets: targets, HistoryCap: len(tr.Records)})
 		}
 	}
 
-	if *sweep != "" {
-		var params []float64
-		for _, tok := range strings.Split(*sweep, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad sweep value %q: %v", tok, err))
-			}
-			params = append(params, v)
-		}
-		curve := qos.Sweep(tr, *fd, factory, params)
+	if c.params != nil {
+		curve := qos.Sweep(tr, c.fd, factory, c.params)
 		fmt.Print(curve.Table())
 		return
 	}
 
 	// Single point: pick the parameter for the chosen detector.
 	var param float64
-	switch *fd {
+	switch c.fd {
 	case "chen":
-		param = float64(*alpha) / float64(time.Millisecond)
+		param = float64(c.alpha) / float64(time.Millisecond)
 	case "phi":
-		param = *phi
+		param = c.phi
 	case "fixed":
-		param = float64(*fixed) / float64(time.Millisecond)
+		param = float64(c.fixed) / float64(time.Millisecond)
 	case "sfd":
-		param = float64(*sm1) / float64(time.Millisecond)
+		param = float64(c.sm1) / float64(time.Millisecond)
 	}
 	det := factory(param)
 
-	if *crash > 0 {
-		out := qos.ReplayWithCrash(tr.Stream(), det, *crash)
+	if c.crash > 0 {
+		out := qos.ReplayWithCrash(tr.Stream(), det, c.crash)
 		fmt.Println(out.Result)
 		fmt.Printf("crash injected at seq %d (t=%.3fs): detected after %v\n",
-			*crash, out.CrashAt.Seconds(), out.Latency)
+			c.crash, out.CrashAt.Seconds(), out.Latency)
 		return
 	}
 
@@ -118,25 +171,23 @@ func main() {
 	}
 }
 
+// loadTrace reads the -in file or, without one, generates n heartbeats
+// of the -env preset (validate has checked both).
 func loadTrace(env, in string, n int) (*trace.Trace, error) {
-	switch {
-	case in != "":
+	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		return trace.Read(f)
-	case env != "":
-		gp, err := trace.Preset(env)
-		if err != nil {
-			return nil, err
-		}
-		gp.Count = n
-		return trace.Collect(gp.Meta, trace.NewGenerator(gp)), nil
-	default:
-		return nil, fmt.Errorf("need -env or -in")
 	}
+	gp, err := trace.Preset(env)
+	if err != nil {
+		return nil, err
+	}
+	gp.Count = n
+	return trace.Collect(gp.Meta, trace.NewGenerator(gp)), nil
 }
 
 func fatal(err error) {

@@ -17,20 +17,56 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		env   = flag.String("env", "WAN-1", "WAN environment preset")
-		n     = flag.Int("n", trace.DefaultCount, "heartbeats to generate")
-		seed  = flag.Int64("seed", 0, "override the preset PRNG seed (0 keeps default)")
-		out   = flag.String("o", "", "output file (default stdout)")
-		csv   = flag.Bool("csv", false, "write CSV instead of binary")
-		stats = flag.Bool("stats", false, "print statistics only, no trace output")
-		list  = flag.Bool("list", false, "list presets and exit")
-		full  = flag.Bool("full", false, "use the paper's full heartbeat count for the environment")
-	)
-	flag.Parse()
+// config is every tracegen flag: bind registers them and validate checks
+// them before any work.
+type config struct {
+	env   string
+	n     int
+	seed  int64
+	out   string
+	csv   bool
+	stats bool
+	list  bool
+	full  bool
+}
 
-	if *list {
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.env, "env", "WAN-1", "WAN environment preset")
+	fs.IntVar(&c.n, "n", trace.DefaultCount, "heartbeats to generate")
+	fs.Int64Var(&c.seed, "seed", 0, "override the preset PRNG seed (0 keeps default)")
+	fs.StringVar(&c.out, "o", "", "output file (default stdout)")
+	fs.BoolVar(&c.csv, "csv", false, "write CSV instead of binary")
+	fs.BoolVar(&c.stats, "stats", false, "print statistics only, no trace output")
+	fs.BoolVar(&c.list, "list", false, "list presets and exit")
+	fs.BoolVar(&c.full, "full", false, "use the paper's full heartbeat count for the environment")
+}
+
+// validate rejects flag values tracegen cannot run with; main turns its
+// error into exit status 2. -list reads no other flag, and -full
+// overrides -n.
+func (c *config) validate() error {
+	if c.list {
+		return nil
+	}
+	if _, err := trace.Preset(c.env); err != nil {
+		return err
+	}
+	if !c.full && c.n < 1 {
+		return fmt.Errorf("-n must be at least 1 (got %d)", c.n)
+	}
+	return nil
+}
+
+func main() {
+	var c config
+	c.bind(flag.CommandLine)
+	flag.Parse()
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
+	}
+
+	if c.list {
 		for _, name := range trace.PresetNames() {
 			gp, _ := trace.Preset(name)
 			fmt.Printf("%-9s %s (%s) → %s (%s), Δt=%v, RTT=%v, paper N=%d\n",
@@ -40,20 +76,17 @@ func main() {
 		return
 	}
 
-	gp, err := trace.Preset(*env)
-	if err != nil {
-		fatal(err)
+	gp, _ := trace.Preset(c.env)
+	gp.Count = c.n
+	if c.full {
+		gp.Count = trace.PaperCounts[c.env]
 	}
-	gp.Count = *n
-	if *full {
-		gp.Count = trace.PaperCounts[*env]
-	}
-	if *seed != 0 {
-		gp.Seed = *seed
+	if c.seed != 0 {
+		gp.Seed = c.seed
 	}
 
-	if *stats {
-		st := trace.Analyze(*env, trace.NewGenerator(gp))
+	if c.stats {
+		st := trace.Analyze(c.env, trace.NewGenerator(gp))
 		fmt.Println(trace.TableHeader())
 		fmt.Println(st.TableRow())
 		fmt.Printf("delay: mean=%.3fms std=%.3fms min=%.3fms max=%.3fms\n",
@@ -63,8 +96,8 @@ func main() {
 	}
 
 	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	if c.out != "" {
+		f, err := os.Create(c.out)
 		if err != nil {
 			fatal(err)
 		}
@@ -75,8 +108,11 @@ func main() {
 		}()
 		w = f
 	}
-	var written int
-	if *csv {
+	var (
+		written int
+		err     error
+	)
+	if c.csv {
 		tr := trace.Collect(gp.Meta, trace.NewGenerator(gp))
 		err = trace.WriteCSV(w, tr)
 		written = tr.Len()
@@ -88,7 +124,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d heartbeats (%s)\n", written, *env)
+	fmt.Fprintf(os.Stderr, "tracegen: wrote %d heartbeats (%s)\n", written, c.env)
 }
 
 func fatal(err error) {
