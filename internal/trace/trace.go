@@ -94,8 +94,7 @@ func (t *Trace) Stream() Stream { return NewCursor(t) }
 func (t *Trace) Len() int { return len(t.Records) }
 
 // Collect materializes a stream into a Trace with the given metadata.
-// A *Generator knows how many records it has left, so its Records are
-// allocated once at that size instead of regrown by append.
+// A *Generator's Records are allocated once, sized to the records it has left.
 func Collect(meta Meta, s Stream) *Trace {
 	t := &Trace{Meta: meta}
 	if g, ok := s.(*Generator); ok {

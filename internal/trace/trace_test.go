@@ -599,6 +599,8 @@ func BenchmarkCollect(b *testing.B) {
 		b.StopTimer()
 		g := NewGenerator(gp)
 		b.StartTimer()
-		Collect(gp.Meta, g)
+		collectSink = Collect(gp.Meta, g)
 	}
 }
+
+var collectSink *Trace
