@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	sfd "repro"
@@ -84,14 +85,9 @@ func main() {
 		}
 	}
 	fmt.Printf("\nnodes to investigate (%d):\n", len(suspects))
-	for i, s := range suspects {
-		sep := "  "
-		if (i+1)%6 == 0 {
-			sep = "\n"
-		}
-		fmt.Printf("%s%s", s, sep)
+	for i := 0; i < len(suspects); i += 6 {
+		fmt.Println(strings.Join(suspects[i:min(i+6, len(suspects))], "  "))
 	}
-	fmt.Println()
 
 	dead := 0
 	for i := nNodes - nCrashed; i < nNodes; i++ {
