@@ -320,10 +320,14 @@ func runSender(c *config) {
 
 // newSender builds the -mode send heartbeat sender from the flags. Each
 // call draws its own ramp delay and jitter stream, so a fleet of sfdmon
-// senders started with the same flags does not beat in phase.
+// senders started with the same flags does not beat in phase. Its
+// incarnation is the wall time of the call: a restarted sender begins
+// again at sequence 1, and only a higher incarnation keeps monitors from
+// dropping the new life's beats as stale and refutes its old suspicion.
 func newSender(c *config, ep sfd.Endpoint, clk sfd.Clock) (*sfd.HeartbeatSender, error) {
 	snd := sfd.NewHeartbeatSender(ep, c.to, c.interval, clk)
 	snd.SetName(c.hbName)
+	snd.SetIncarnation(uint64(time.Now().UnixNano()))
 	if err := snd.Pace(c.jitter, c.ramp); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	sfd "repro"
 )
 
 func TestValidate(t *testing.T) {
@@ -92,5 +94,69 @@ func TestSendersFromSameFlagsDrawDifferentRamps(t *testing.T) {
 	}
 	if delays[0] == delays[1] {
 		t.Fatalf("both senders drew start delay %v", delays[0])
+	}
+}
+
+// TestRestartedNamedSenderIsAccepted: a restarted `-mode send -name`
+// process keeps its stream name but begins again at sequence 1, so it
+// must beat at a higher incarnation than its previous life. Otherwise the
+// monitor drops every beat of the new life as stale and reads the
+// stream offline until eviction, which `-evict -1` never does.
+func TestRestartedNamedSenderIsAccepted(t *testing.T) {
+	rx, err := sfd.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	clk := sfd.NewRealClock()
+	reg := sfd.NewRegistry(clk, nil, sfd.RegistryOptions{EvictAfter: -1})
+	reg.Start()
+	defer reg.Stop()
+	recv := sfd.NewHeartbeatReceiver(rx, clk, reg.Observe)
+	recv.Start()
+
+	const beats = 16
+	life := func() (accepted, stale uint64) {
+		c, err := parse("-mode send -name svc/a -interval 2ms -to " + rx.Addr())
+		if err == nil {
+			err = c.validate()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := sfd.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Close()
+		a0, s0 := recv.Counters()
+		snd, err := newSender(c, tx, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snd.Start()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if a, s := recv.Counters(); a+s-a0-s0 >= beats {
+				break
+			}
+		}
+		snd.Stop()
+		// Let the last beats in flight land inside this life's counts.
+		for prev := ^uint64(0); ; time.Sleep(20 * time.Millisecond) {
+			a, s := recv.Counters()
+			if a+s == prev {
+				return a - a0, s - s0
+			}
+			prev = a + s
+		}
+	}
+	if a, s := life(); a < beats || s != 0 {
+		t.Fatalf("first life: %d accepted, %d stale; want >= %d accepted, 0 stale", a, s, beats)
+	}
+	if a, s := life(); a < beats || s != 0 {
+		t.Fatalf("second life: %d accepted, %d stale; want >= %d accepted, 0 stale", a, s, beats)
+	}
+	if st, _ := reg.StatusOf("svc/a", clk.Now()); st != sfd.PeerActive {
+		t.Fatalf("svc/a after the restart: %v, want active", st)
 	}
 }

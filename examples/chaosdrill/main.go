@@ -19,9 +19,6 @@ import (
 	"time"
 
 	sfd "repro"
-	"repro/internal/clock"
-	"repro/internal/heartbeat"
-	"repro/internal/transport"
 )
 
 const (
@@ -35,7 +32,7 @@ const drill = "name=partition-drill;seed=42;3s+4s:partition(dir=in,peers=s0|s1)"
 
 func main() {
 	sim := sfd.NewSimClock(0)
-	hub := transport.NewHub(0, 0, 1)
+	hub := sfd.NewHub(0, 0, 1)
 
 	// The monitor's endpoint, wrapped: datagrams pulled off the raw hub
 	// endpoint pass through the controller's armed impairments before
@@ -57,8 +54,8 @@ func main() {
 	// Pump loop: every 5 ms push raw arrivals through the chaos layer,
 	// then feed whatever survives to the registry — the same two-stage
 	// path sfdmon runs, driven synchronously under the sim clock.
-	var pump func(clock.Time)
-	pump = func(now clock.Time) {
+	var pump func(sfd.Time)
+	pump = func(now sfd.Time) {
 		for {
 			select {
 			case in := <-monRaw.Recv():
@@ -71,18 +68,18 @@ func main() {
 		for {
 			select {
 			case in := <-monEp.Recv():
-				if msg, err := heartbeat.Unmarshal(in.Payload); err == nil && msg.Kind == heartbeat.KindHeartbeat {
+				if msg, err := sfd.DecodeHeartbeat(in.Payload); err == nil && msg.Kind == sfd.KindHeartbeat {
 					reg.Observe(sfd.HeartbeatArrival{
 						From: in.From, Seq: msg.Seq, Send: msg.Time, Recv: sim.Now(), Inc: msg.Inc,
 					})
 				}
 			default:
-				sim.AfterFunc(5*clock.Millisecond, pump)
+				sim.AfterFunc(5*time.Millisecond, pump)
 				return
 			}
 		}
 	}
-	sim.AfterFunc(5*clock.Millisecond, pump)
+	sim.AfterFunc(5*time.Millisecond, pump)
 
 	// Four subjects heartbeating to the monitor, starts staggered so
 	// their streams interleave.
@@ -90,14 +87,14 @@ func main() {
 		name := fmt.Sprintf("s%d", i)
 		ep := hub.Endpoint(name)
 		seq := uint64(0)
-		var beat func(clock.Time)
-		beat = func(now clock.Time) {
+		var beat func(sfd.Time)
+		beat = func(now sfd.Time) {
 			seq++
-			b := heartbeat.Message{Kind: heartbeat.KindHeartbeat, Seq: seq, Time: now, Inc: 1}.Marshal()
+			b := sfd.HeartbeatMessage{Kind: sfd.KindHeartbeat, Seq: seq, Time: now, Inc: 1}.Marshal()
 			_ = ep.Send("monitor", b)
-			sim.AfterFunc(clock.Duration(beatInterval), beat)
+			sim.AfterFunc(beatInterval, beat)
 		}
-		sim.AfterFunc(clock.Duration(beatInterval+time.Duration(i)*time.Millisecond), beat)
+		sim.AfterFunc(beatInterval+time.Duration(i)*time.Millisecond, beat)
 	}
 
 	// Arm the scenario. Play schedules each step on the sim clock; the
@@ -128,19 +125,19 @@ func main() {
 	}
 
 	fmt.Println("\n>>> warm-up: all four streams trusted")
-	sim.Advance(3 * clock.Second)
+	sim.Advance(3 * time.Second)
 	drainEvents()
 
 	fmt.Println("\n>>> t=3s: inbound partition drops s0 and s1 (s2, s3 untouched)")
 	// Stop one tick short of 7s: the heal and the first surviving
 	// heartbeat coalesce at exactly t=7s and belong to the next section.
-	sim.Advance(4*clock.Second - clock.Millisecond)
+	sim.Advance(4*time.Second - time.Millisecond)
 	drainEvents()
 	c := ctl.Counters()
 	fmt.Printf("  partition dropped %d datagrams; monitor saw %d\n", c.PartDrops, c.RecvSeen)
 
 	fmt.Println("\n>>> t=7s: partition healed; first surviving heartbeat recants each suspicion")
-	sim.Advance(3*clock.Second + clock.Millisecond)
+	sim.Advance(3*time.Second + time.Millisecond)
 	drainEvents()
 
 	rc := reg.Counters()

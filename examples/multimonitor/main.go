@@ -16,6 +16,11 @@
 //  3. The process restarts with a bumped incarnation (SWIM-style): its
 //     first heartbeat refutes all suspicion of its previous life and
 //     every monitor recants to GlobalTrust.
+//
+// Unlike the other examples it imports internal/netsim directly: the
+// simulated node and its inbound record are due to be reshaped into a
+// transport endpoint, and exporting them from the root package now would
+// pin an API that reshaping removes.
 package main
 
 import (

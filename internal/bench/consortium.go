@@ -176,16 +176,6 @@ func (c *SimCluster) Monitor(name string) *SimMonitor { return c.monitors[name] 
 // Sender returns a registered sender by name (nil if absent).
 func (c *SimCluster) Sender(name string) *SimSender { return c.senders[name] }
 
-// MonitorNames returns the registered monitors, sorted.
-func (c *SimCluster) MonitorNames() []string {
-	out := make([]string, 0, len(c.monitors))
-	for n := range c.monitors {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RunFor advances simulated time by total in steps of step (default
 // 10 ms), pumping every monitor between steps so arrivals are observed
 // promptly.

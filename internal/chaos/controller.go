@@ -59,7 +59,6 @@ type Controller struct {
 	scenario string
 	log      bytes.Buffer
 	logN     int
-	logCap   int
 	decided  uint64 // decision ordinal (the log's first column)
 
 	sentSeen   atomic.Uint64
@@ -87,10 +86,9 @@ func NewController(clk clock.Clock, seed int64) *Controller {
 		seed = 1
 	}
 	return &Controller{
-		clk:    clk,
-		rng:    rand.New(rand.NewSource(seed)),
-		seed:   seed,
-		logCap: DefaultLogCap,
+		clk:  clk,
+		rng:  rand.New(rand.NewSource(seed)),
+		seed: seed,
 	}
 }
 
@@ -99,13 +97,6 @@ func (c *Controller) Seed() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.seed
-}
-
-// SetLogCap bounds the injection log to n entries (0 disables logging).
-func (c *Controller) SetLogCap(n int) {
-	c.mu.Lock()
-	c.logCap = n
-	c.mu.Unlock()
 }
 
 // Arm activates an impairment immediately and returns its id for
@@ -380,20 +371,18 @@ func (c *Controller) decide(dir Direction, peer string, size int) verdict {
 			// Clock-only impairment: no per-datagram effect.
 		}
 	}
-	if c.logCap > 0 {
-		if c.logN < c.logCap {
-			c.logN++
-			action := "pass"
-			if len(acts) > 0 {
-				action = acts[0]
-				for _, a := range acts[1:] {
-					action += "+" + a
-				}
+	if c.logN < DefaultLogCap {
+		c.logN++
+		action := "pass"
+		if len(acts) > 0 {
+			action = acts[0]
+			for _, a := range acts[1:] {
+				action += "+" + a
 			}
-			fmt.Fprintf(&c.log, "%d %s %s %d %s\n", n, dir, peer, size, action)
-		} else {
-			c.logDropped.Add(1)
 		}
+		fmt.Fprintf(&c.log, "%d %s %s %d %s\n", n, dir, peer, size, action)
+	} else {
+		c.logDropped.Add(1)
 	}
 	return v
 }
@@ -405,14 +394,6 @@ func (c *Controller) LogBytes() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]byte(nil), c.log.Bytes()...)
-}
-
-// ResetLog clears the injection log (the cap is unchanged).
-func (c *Controller) ResetLog() {
-	c.mu.Lock()
-	c.log.Reset()
-	c.logN = 0
-	c.mu.Unlock()
 }
 
 // Counters returns the injection-counter snapshot.

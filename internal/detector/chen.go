@@ -64,9 +64,6 @@ func (c *Chen) SetAlpha(alpha clock.Duration) {
 	}
 }
 
-// Estimator exposes the arrival estimator (shared with SFD).
-func (c *Chen) Estimator() *ArrivalEstimator { return &c.est }
-
 // Reset implements Detector.
 func (c *Chen) Reset() {
 	c.est.Reset()

@@ -126,12 +126,6 @@ func (n *Network) SetLink(from, to string, p LinkParams) {
 	n.links[linkKey{from, to}] = &link{params: p, ge: stats.NewGilbertElliott(p.LossRate, p.MeanBurst)}
 }
 
-// SetBidirectional installs the same parameters in both directions.
-func (n *Network) SetBidirectional(a, b string, p LinkParams) {
-	n.SetLink(a, b, p)
-	n.SetLink(b, a, p)
-}
-
 // Partition cuts the directional path from → to (every datagram dropped)
 // until Heal is called. Partitioning both directions models the paper's
 // long outage bursts.

@@ -56,9 +56,6 @@ func OpenStore(dir string, retain int) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Epoch returns the newest epoch present on disk (0 if none).
 func (s *Store) Epoch() uint64 { return s.epoch }
 

@@ -7,26 +7,27 @@
 //   - The paper's contribution: the SFD self-tuning accrual failure
 //     detector (NewSFD) and the general self-tuning wrapper for any
 //     timeout-based detector (NewSelfTuner).
-//   - The baselines the paper compares against: Chen FD (NewChen),
-//     Bertier FD (NewBertier), the φ accrual FD (NewPhi), and a naive
-//     fixed-timeout detector (NewFixed).
-//   - QoS evaluation by trace replay (Replay, Sweep) with Chen et al.'s
-//     metrics: detection time, mistake rate, query accuracy probability.
-//   - Synthetic WAN heartbeat traces calibrated to the paper's Table II
-//     (TracePreset, NewTraceGenerator), plus binary/CSV codecs.
+//   - The baselines the paper compares against — Chen FD (NewChen),
+//     Bertier FD (NewBertier), the φ accrual FD (NewPhi) — plus NewPhiExp,
+//     NewRTO, a fixed timeout (NewFixed) and static provisioning (Configure).
+//   - QoS evaluation by trace replay (Replay, ReplayWithCrash, Sweep) with
+//     Chen et al.'s metrics: detection time, mistake rate, query accuracy
+//     probability, over synthetic WAN traces calibrated to the paper's
+//     Table II (TracePreset, NewTraceGenerator) and a binary trace codec.
 //   - A live heartbeat stack over UDP or in-memory transports
-//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP).
+//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP, NewHub).
 //   - The cloud-monitoring engine (NewRegistry) implementing the
-//     paper's "one monitors multiple" deployment at fleet scale:
-//     lock-striped shards, a hierarchical timer wheel firing suspect
-//     transitions, the active / busy / suspected / offline status
-//     board, and a bounded drop-oldest failure-event bus — firehose
-//     (Subscribe) or interest-routed over hierarchical stream names
-//     with MQTT-style `+`/`#` wildcards (SubscribeTopic, MatchTopic).
-//   - A gossip dissemination layer between monitors (NewGossiper):
-//     anti-entropy suspicion digests, accuracy-weighted quorum
-//     corroboration, and SWIM-style incarnation refutation, publishing
-//     GlobalSuspect / GlobalOffline / GlobalTrust verdicts on the bus.
+//     paper's "one monitors multiple" deployment at fleet scale: a
+//     timer-wheel-driven status board and a bounded failure-event bus,
+//     firehose (Subscribe) or routed by MQTT-style topic filters
+//     (SubscribeTopic, MatchTopic).
+//   - Monitors working together: gossip with quorum corroboration and
+//     incarnation refutation (NewGossiper), leaf-to-aggregator federation
+//     (NewFederationLeaf, NewFederationAggregator), Ω leader election
+//     (NewElector), and Chandra–Toueg consensus (NewConsensus).
+//   - Chaos fault injection on any endpoint (NewChaosController,
+//     WrapChaos) and deterministic simulated deployments (NewSimCluster,
+//     BuildConsortium).
 //
 // Quick start (see examples/quickstart for the runnable version):
 //
@@ -50,7 +51,6 @@ import (
 	"repro/internal/federate"
 	"repro/internal/gossip"
 	"repro/internal/heartbeat"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/persist"
 	"repro/internal/qos"
@@ -91,16 +91,10 @@ type Config = core.Config
 // mistake rate, min query accuracy probability.
 type Targets = core.Targets
 
-// QoS is the (TD, MR, QAP) tuple of the paper's Eq. 1.
-type QoS = core.QoS
-
 // SFD is the paper's Self-tuning Failure Detector.
 type SFD = core.SFD
 
-// State is the SFD tuning state.
-type State = core.State
-
-// Tuning states.
+// Tuning states, as SFD.State reports them.
 const (
 	StateWarmup     = core.StateWarmup
 	StateTuning     = core.StateTuning
@@ -131,9 +125,6 @@ func NewSelfTuner(d Tunable, opts TunerOptions) *SelfTuner { return core.NewSelf
 
 // TunableChen adapts a Chen FD for NewSelfTuner (tunes α).
 type TunableChen = core.TunableChen
-
-// TunableFixed adapts a Fixed FD for NewSelfTuner (tunes the timeout).
-type TunableFixed = core.TunableFixed
 
 // NewChen builds Chen et al.'s adaptive FD: window estimation plus a
 // constant safety margin alpha. interval 0 estimates Δt from arrivals.
@@ -227,8 +218,6 @@ func Sweep(tr *trace.Trace, name string, f SweepFactory, params []float64) Curve
 type (
 	// Trace is a materialized heartbeat trace.
 	Trace = trace.Trace
-	// TraceRecord is one heartbeat observation.
-	TraceRecord = trace.Record
 	// TraceMeta describes a trace's origin and parameters.
 	TraceMeta = trace.Meta
 	// TraceStream yields records in sequence order.
@@ -274,6 +263,8 @@ type (
 	// Prober estimates RTT with ping/pong, like the paper's parallel
 	// low-frequency ping process.
 	Prober = heartbeat.Prober
+	// HeartbeatMessage is one wire message; Marshal encodes it.
+	HeartbeatMessage = heartbeat.Message
 )
 
 // ListenUDP opens a UDP endpoint (e.g. "127.0.0.1:0") with default
@@ -281,37 +272,14 @@ type (
 // one ingest queue, a private receive-buffer pool.
 func ListenUDP(addr string) (*transport.UDP, error) { return transport.ListenUDP(addr) }
 
-// Million-stream ingest tuning (see internal/transport): the UDP
-// receive path batches datagram reads (recvmmsg on Linux), lands
-// payloads in pooled buffers, and can shard inbound traffic across
-// several ingest queues drained in parallel by HeartbeatReceiver.
-type (
-	// UDPEndpoint is the concrete UDP endpoint with its receive-path
-	// counters and multi-queue surface.
-	UDPEndpoint = transport.UDP
-	// UDPOptions tunes the batched receive path (queues, batch size,
-	// buffer pool).
-	UDPOptions = transport.UDPOptions
-	// UDPCounters is a UDP endpoint's receive-path counter snapshot,
-	// including datagrams dropped at full ingest queues.
-	UDPCounters = transport.UDPCounters
-	// QueuedEndpoint is the optional multi-queue surface of an endpoint.
-	QueuedEndpoint = transport.QueuedEndpoint
-	// BufPool is a bounded pool of fixed-size receive buffers.
-	BufPool = transport.BufPool
-	// BufPoolStats is a BufPool counter snapshot.
-	BufPoolStats = transport.BufPoolStats
-)
+// UDPOptions tunes the batched receive path (recvmmsg on Linux): batch
+// size, buffer pool, and the ingest queues HeartbeatReceiver drains.
+type UDPOptions = transport.UDPOptions
 
 // ListenUDPOpts opens a UDP endpoint with explicit receive-path tuning.
 func ListenUDPOpts(addr string, opts UDPOptions) (*transport.UDP, error) {
 	return transport.ListenUDPOpts(addr, opts)
 }
-
-// NewBufPool builds a receive-buffer pool of up to `buffers` buffers of
-// `size` bytes (defaults: 256 × 64 KiB). Share one pool across
-// endpoints to share its memory bound.
-func NewBufPool(buffers, size int) *BufPool { return transport.NewBufPool(buffers, size) }
 
 // NewHub returns an in-memory datagram switchboard for socket-free use.
 func NewHub(lossRate float64, delay Duration, seed int64) *transport.Hub {
@@ -321,6 +289,12 @@ func NewHub(lossRate float64, delay Duration, seed int64) *transport.Hub {
 // MaxHeartbeatNameLen is the longest stream name a named heartbeat
 // carries (HeartbeatSender.SetName panics beyond it).
 const MaxHeartbeatNameLen = heartbeat.MaxNameLen
+
+// KindHeartbeat marks a liveness message; ping and pong are the others.
+const KindHeartbeat = heartbeat.KindHeartbeat
+
+// DecodeHeartbeat decodes a heartbeat datagram, failing on anything else.
+func DecodeHeartbeat(b []byte) (HeartbeatMessage, error) { return heartbeat.Unmarshal(b) }
 
 // NewHeartbeatSender emits a heartbeat to `to` every interval; Pace adds
 // per-beat jitter and a random start delay.
@@ -346,8 +320,6 @@ type (
 	MonitorReport = registry.Report
 	// PeerStatus classifies a monitored server.
 	PeerStatus = registry.Status
-	// Quorum aggregates several monitors ("multiple monitor multiple").
-	Quorum = bench.Quorum
 	// DetectorFactory builds a detector per watched peer.
 	DetectorFactory = registry.Factory
 )
@@ -375,9 +347,6 @@ func SFDFactory(targets Targets) DetectorFactory {
 // applications register actions at ascending suspicion thresholds; each
 // fires once per suspicion episode.
 type Reactor = detector.Reactor
-
-// ActionFunc reacts to a suspicion threshold crossing.
-type ActionFunc = detector.ActionFunc
 
 // NewReactor returns an empty graduated-reaction registry.
 func NewReactor() *Reactor { return detector.NewReactor() }
@@ -410,16 +379,10 @@ type (
 	// RegistryOptions tunes sharding, wheel granularity, thresholds, and
 	// eviction policy.
 	RegistryOptions = registry.Options
-	// RegistryCounters is the registry's aggregate counter snapshot.
-	RegistryCounters = registry.Counters
-	// StreamStats is the per-stream ingest/mistake accounting.
-	StreamStats = registry.StreamStats
 	// Event is one failure-detection state transition on the event bus.
 	Event = registry.Event
 	// EventType classifies an Event.
 	EventType = registry.EventType
-	// Subscription is one subscriber's bounded, drop-oldest event queue.
-	Subscription = registry.Subscription
 	// SubscriptionStats is one subscription's delivery accounting
 	// (delivered / dropped / queued), as listed on /vars.
 	SubscriptionStats = registry.SubscriptionStats
@@ -470,50 +433,11 @@ func ValidateStreamName(name string) error { return fanout.ValidateName(name) }
 // wildcards only as whole segments, `#` only in the last position.
 func ValidateTopicFilter(filter string) error { return fanout.ValidateFilter(filter) }
 
-// Crash-safe state persistence and warm restart (see internal/persist):
-// versioned, checksummed snapshots of registry + detector + gossip state
-// rotated atomically on disk, restored on restart with a rewarm grace
-// window so a short monitor outage produces zero spurious suspicions.
-// Set RegistryOptions.StateDir to arm it; Registry.Stop flushes a final
-// snapshot.
-type (
-	// StateSnapshot is one full capture of monitor state.
-	StateSnapshot = persist.Snapshot
-	// StateStreamRecord is one stream's row in a StateSnapshot.
-	StateStreamRecord = persist.StreamRecord
-	// StateDelta is one incremental journal entry between snapshots.
-	StateDelta = persist.Delta
-	// StateStore manages the snapshot/journal files in a state directory.
-	StateStore = persist.Store
-	// Checkpointer drives periodic snapshots and journal flushes.
-	Checkpointer = persist.Checkpointer
-	// CheckpointOptions tunes snapshot cadence and journal rotation.
-	CheckpointOptions = persist.CheckpointOptions
-)
-
 // ErrNoSnapshot reports an empty state directory on restore — the normal
-// first-boot condition, distinct from corruption.
+// first-boot condition, distinct from corruption. Set
+// RegistryOptions.StateDir to arm crash-safe persistence (see
+// internal/persist); Registry.Stop flushes a final snapshot.
 var ErrNoSnapshot = persist.ErrNoSnapshot
-
-// OpenStateStore opens (creating if needed) a state directory holding
-// retain snapshot epochs (minimum 2).
-func OpenStateStore(dir string, retain int) (*StateStore, error) {
-	return persist.OpenStore(dir, retain)
-}
-
-// SaveSnapshot forces a full state checkpoint of reg now — the graceful-
-// shutdown flush. With RegistryOptions.StateDir set this happens
-// automatically on Registry.Stop; exported for on-demand use.
-func SaveSnapshot(reg *Registry) error { return reg.SaveSnapshot() }
-
-// RestoreSnapshot restores reg from its StateDir, reporting how many
-// streams were recovered. downtime is how long the monitor was down;
-// pass a negative value to derive it from the snapshot's wall-clock
-// anchor. Registry.Start does this automatically; call it explicitly
-// (before Start) to control the downtime or inspect the result.
-func RestoreSnapshot(reg *Registry, downtime Duration) (int, error) {
-	return reg.RestoreFromDisk(downtime)
-}
 
 // Gossip dissemination layer: multi-monitor suspicion exchange with
 // accuracy-weighted quorum corroboration (see internal/gossip).
@@ -526,18 +450,10 @@ type (
 	// GossipEndpoint is the send-only datagram surface a Gossiper needs;
 	// transport endpoints and netsim nodes both satisfy it.
 	GossipEndpoint = gossip.Endpoint
-	// GossipState is a monitor's per-subject opinion (trusted / suspect /
-	// offline).
-	GossipState = gossip.State
-	// GossipOpinion is one monitor's view of one subject incarnation.
-	GossipOpinion = gossip.Opinion
-	// GossipDigest is the versioned anti-entropy exchange unit.
-	GossipDigest = gossip.Digest
-	// GossipCounters is the gossiper's counter snapshot.
-	GossipCounters = gossip.Counters
 )
 
-// Gossip opinion states, ordered by severity.
+// Gossip opinion states, ordered by severity, as Gossiper.VerdictOf
+// reports them.
 const (
 	GossipTrusted = gossip.StateTrusted
 	GossipSuspect = gossip.StateSuspect
@@ -569,34 +485,12 @@ type (
 	FederationLeaf = federate.Leaf
 	// FederationLeafOptions tunes identity, cohorts, and roll-up cadence.
 	FederationLeafOptions = federate.LeafOptions
-	// FederationLeafCounters is the leaf's counter snapshot.
-	FederationLeafCounters = federate.LeafCounters
 	// FederationAggregator is the regional tier: digest merge, leaf
 	// liveness, cohort re-delegation, and the /fleet query surface.
 	FederationAggregator = federate.Aggregator
 	// FederationAggregatorOptions tunes digest cadence and leaf-liveness
 	// thresholds.
 	FederationAggregatorOptions = federate.AggregatorOptions
-	// FederationAggCounters is the aggregator's counter snapshot.
-	FederationAggCounters = federate.AggCounters
-	// FederationDigest is one leaf→aggregator roll-up datagram.
-	FederationDigest = federate.Digest
-	// FederationCohortDigest is one cohort's row inside a digest.
-	FederationCohortDigest = federate.CohortDigest
-	// FederationAssignment is one aggregator→leaf cohort-ownership table.
-	FederationAssignment = federate.Assignment
-	// FederationRedelegation records one re-delegation round.
-	FederationRedelegation = federate.RedelegationRecord
-	// FederationPeerBeat is one aggregator→aggregator HA state heartbeat.
-	FederationPeerBeat = federate.PeerBeat
-	// FederationMirror is one aggregator→aggregator anti-entropy state
-	// mirror chunk.
-	FederationMirror = federate.Mirror
-	// FederationAck is one aggregator→leaf digest receipt (leaves track
-	// per-aggregator reachability from it).
-	FederationAck = federate.Ack
-	// FederationPeerInfo is one HA peer row as served by /fleet.
-	FederationPeerInfo = federate.PeerInfo
 )
 
 // NewFederationLeaf attaches a roll-up agent to reg, digesting to the
@@ -623,34 +517,6 @@ func NewFederationAggregator(ep GossipEndpoint, clk Clock, opts FederationAggreg
 // and gossip.
 func IsFederationDatagram(payload []byte) bool { return federate.IsFederation(payload) }
 
-// Instrumentation layer: dependency-free atomic counters, gauges, and
-// fixed-bucket histograms with Prometheus text exposition (see
-// internal/metrics). Registry.Metrics() returns the registry's set;
-// HeartbeatReceiver.InstrumentMetrics and Gossiper.InstrumentMetrics
-// register their instruments into it so one /metrics page covers the
-// whole pipeline.
-type (
-	// MetricsSet is a named instrument collection exposed together as one
-	// Prometheus text page (Handler / WritePrometheus).
-	MetricsSet = metrics.Set
-	// MetricsCounter is a lock-free monotonic counter.
-	MetricsCounter = metrics.Counter
-	// MetricsGauge is an atomically settable float64 gauge.
-	MetricsGauge = metrics.Gauge
-	// MetricsHistogram is a fixed-bucket cumulative histogram whose
-	// Observe is lock- and allocation-free.
-	MetricsHistogram = metrics.Histogram
-	// MetricsEmitter receives scrape-time samples from Sampled callbacks.
-	MetricsEmitter = metrics.Emitter
-)
-
-// NewMetricsSet returns an empty instrument set for application metrics.
-func NewMetricsSet() *MetricsSet { return metrics.NewSet() }
-
-// MetricName composes a series name from a family and label key/value
-// pairs, escaping label values per the Prometheus text format.
-func MetricName(family string, labels ...string) string { return metrics.Name(family, labels...) }
-
 // Chaos fault-injection layer (see internal/chaos): an Endpoint
 // middleware that injects deterministic, seeded impairments — burst
 // loss, delay/jitter, reordering, duplication, truncation, directional
@@ -662,41 +528,11 @@ type (
 	ChaosController = chaos.Controller
 	// ChaosEndpoint wraps any Endpoint with the armed impairments.
 	ChaosEndpoint = chaos.Endpoint
-	// ChaosImpairment is one parameterized fault.
-	ChaosImpairment = chaos.Impairment
 	// ChaosScenario is an ordered impairment timeline.
 	ChaosScenario = chaos.Scenario
-	// ChaosStep is one scenario timeline entry.
-	ChaosStep = chaos.Step
-	// ChaosKind names an impairment class.
-	ChaosKind = chaos.Kind
-	// ChaosDirection selects inbound/outbound/both traffic.
-	ChaosDirection = chaos.Direction
-	// ChaosSpan is a duration that marshals as a human string.
-	ChaosSpan = chaos.Span
-	// ChaosCounters is the controller's injection-counter snapshot.
-	ChaosCounters = chaos.Counters
 	// SkewedClock offsets a Clock by a settable step plus drift — the
 	// send-side timestamp-skew fault.
 	SkewedClock = chaos.SkewedClock
-)
-
-// Impairment kinds.
-const (
-	ChaosLoss      = chaos.KindLoss
-	ChaosDelay     = chaos.KindDelay
-	ChaosReorder   = chaos.KindReorder
-	ChaosDuplicate = chaos.KindDuplicate
-	ChaosTruncate  = chaos.KindTruncate
-	ChaosPartition = chaos.KindPartition
-	ChaosSkew      = chaos.KindSkew
-)
-
-// Impairment directions.
-const (
-	ChaosDirBoth = chaos.DirBoth
-	ChaosDirIn   = chaos.DirIn
-	ChaosDirOut  = chaos.DirOut
 )
 
 // NewChaosController builds an idle impairment controller drawing
@@ -757,8 +593,6 @@ type (
 	ConsensusCluster = consensus.Cluster
 	// ConsensusOptions configures NewConsensus.
 	ConsensusOptions = consensus.Options
-	// ConsensusProcess is one participant.
-	ConsensusProcess = consensus.Process
 )
 
 // NewConsensus builds a simulated consensus cluster whose processes

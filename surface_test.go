@@ -128,3 +128,135 @@ func lineSet(s string) map[string]bool {
 	}
 	return m
 }
+
+// facadeReturnedConsts are exported names with no sfd.<Name> user that
+// stay because a kept method hands them to callers, who compare against
+// them. Each entry says which method.
+var facadeReturnedConsts = map[string]string{
+	"StateTuning":        "SFD.State reports it",
+	"StateStable":        "SFD.State reports it",
+	"StateInfeasible":    "SFD.State reports it",
+	"EventCannotSatisfy": "Event.Type carries it on the registry bus",
+	"GossipTrusted":      "Gossiper.VerdictOf reports it",
+	"GossipSuspect":      "Gossiper.VerdictOf reports it",
+	"GossipOffline":      "Gossiper.VerdictOf reports it",
+}
+
+// TestFacadeNamesHaveUsers keeps the facade from regrowing: every name
+// in testdata/api.txt must be used as sfd.<Name> by an example, a
+// command, api_test.go or bench_test.go; or appear in the signature of a
+// used func; or be a returned constant listed in facadeReturnedConsts.
+func TestFacadeNamesHaveUsers(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "api.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// api.txt lines are Go declarations without bodies, so the file
+	// parses as a package once it has a clause.
+	api, err := parser.ParseFile(token.NewFileSet(), "api.txt", "package api\n"+string(src), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := facadeUsers(t)
+	var names []string
+	inSignature := map[string]bool{}
+	for _, d := range api.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name.Name)
+			if used[d.Name.Name] {
+				for name := range bareIdents(d.Type) {
+					inSignature[name] = true
+				}
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, name := range names {
+		listed[name] = true
+		if used[name] || inSignature[name] || facadeReturnedConsts[name] != "" {
+			continue
+		}
+		t.Errorf("%s: no sfd.%s user in examples/, cmd/, api_test.go or bench_test.go, and no used func's signature needs it", name, name)
+	}
+	for name := range facadeReturnedConsts {
+		if !listed[name] {
+			t.Errorf("facadeReturnedConsts lists %s, which testdata/api.txt does not export", name)
+		}
+	}
+}
+
+// facadeUsers returns every name selected as <import>.<Name> from the
+// root package in the examples, the commands, api_test.go and
+// bench_test.go.
+func facadeUsers(t *testing.T) map[string]bool {
+	t.Helper()
+	files := []string{"api_test.go", "bench_test.go"}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				local = "sfd"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return used
+}
+
+// bareIdents collects the unqualified identifiers in n: the root
+// package's own names, as opposed to the Sel of pkg.Name.
+func bareIdents(n ast.Node) map[string]bool {
+	ids := map[string]bool{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			return false
+		case *ast.Ident:
+			ids[n.Name] = true
+		}
+		return true
+	})
+	return ids
+}
