@@ -1,11 +1,13 @@
 package heartbeat
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -44,6 +46,7 @@ type Receiver struct {
 	handler Handler
 
 	filters [filterShards]filterShard
+	seed    maphash.Seed // keys the stale-filter stripes
 	foreign atomic.Pointer[func(transport.Inbound)]
 
 	// Datagram counters live outside the filter locks: the ingest path
@@ -91,6 +94,7 @@ func NewReceiver(ep transport.Endpoint, clk clock.Clock, h Handler) *Receiver {
 	}
 	r := &Receiver{
 		ep: ep, clk: clk, handler: h,
+		seed: maphash.MakeSeed(),
 		done: make(chan struct{}),
 	}
 	for i := range r.filters {
@@ -101,7 +105,7 @@ func NewReceiver(ep transport.Endpoint, clk clock.Clock, h Handler) *Receiver {
 
 // filterFor returns the sender's stale-filter stripe.
 func (r *Receiver) filterFor(from string) *filterShard {
-	return &r.filters[fnv32a(from)&(filterShards-1)]
+	return &r.filters[maphash.String(r.seed, from)&(filterShards-1)]
 }
 
 // SetForeign installs a handler for datagrams that are not heartbeat
@@ -177,7 +181,9 @@ func (r *Receiver) handle(in transport.Inbound) {
 		from := in.From
 		var fs *filterShard
 		if len(nameRef) > 0 {
-			fs = &r.filters[fnv32aBytes(nameRef)&(filterShards-1)]
+			// maphash.Bytes agrees with maphash.String on equal content, so
+			// Forget(name) finds this stripe.
+			fs = &r.filters[maphash.Bytes(r.seed, nameRef)&(filterShards-1)]
 		} else {
 			fs = r.filterFor(from)
 		}
@@ -204,7 +210,12 @@ func (r *Receiver) handle(in transport.Inbound) {
 			r.stale.Add(1)
 			return // duplicate, reordered, or from a dead incarnation
 		}
-		fs.last[from] = incSeq{inc: msg.Inc, seq: msg.Seq, name: from}
+		// A name the registry will reject gets no filter state: nothing
+		// would ever Forget it. Its arrival still goes on, so the
+		// registry counts it.
+		if seen || fanout.ValidateName(from) == nil {
+			fs.last[from] = incSeq{inc: msg.Inc, seq: msg.Seq, name: from}
+		}
 		fs.mu.Unlock()
 		r.received.Add(1)
 		if r.handler != nil {
@@ -247,29 +258,6 @@ func (r *Receiver) Tracked() int {
 		fs.mu.Unlock()
 	}
 	return n
-}
-
-// fnv32a hashes a sender address onto a filter stripe (FNV-1a, inlined
-// to keep the ingest path allocation-free — same idiom as the
-// registry's shard selector).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// fnv32aBytes is fnv32a over a byte slice (the not-yet-interned v3
-// stream name), kept separate so neither path converts.
-func fnv32aBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Counters returns the number of accepted and stale heartbeats.

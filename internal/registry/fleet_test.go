@@ -214,7 +214,7 @@ func TestFleet10kStreamsDeterministic(t *testing.T) {
 	if c.Heartbeats == 0 || c.Stale != 0 {
 		t.Fatalf("ingest counters = %+v", c)
 	}
-	// FNV striping across 64 shards must have no pathological stripe.
+	// Keyed striping across 64 shards must have no pathological stripe.
 	for i, occ := range reg.ShardOccupancy() {
 		if occ == 0 {
 			t.Fatalf("shard %d empty at 10k streams", i)

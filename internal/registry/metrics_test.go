@@ -196,7 +196,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	close(stop)
 	scrapers.Wait()
 
-	if got := r.heartbeats.Load(); got != uint64(len(peers)*beats) {
+	if got := r.Counters().Heartbeats; got != uint64(len(peers)*beats) {
 		t.Fatalf("heartbeats = %d, want %d", got, len(peers)*beats)
 	}
 	if !strings.Contains(scrape(t, r), "sfd_registry_heartbeats_total 2000") {

@@ -190,3 +190,34 @@ func TestSeqResetWithoutIncBumpIsStale(t *testing.T) {
 		return m.reg.Counters().Heartbeats == 6
 	})
 }
+
+// TestReceiverSkipsInvalidNames: a v3 name the registry rejects must
+// leave no stale-filter state behind, because nothing would ever Forget
+// it. The arrivals still reach the registry, which counts every name as
+// invalid.
+func TestReceiverSkipsInvalidNames(t *testing.T) {
+	clk := clock.NewReal()
+	m := startUDPMonitor(t, clk)
+	s := newNamedSender(t, "", m.addr)
+	const names, batch = 500, 50
+	for i := 0; i < names; i++ {
+		s.name = fmt.Sprintf("bad+%d", i)
+		s.beat(clk)
+		// Pace by batch so loopback never overruns the socket buffer.
+		if sent := uint64(i + 1); sent%batch == 0 {
+			waitFor(t, "batch received", 2*time.Second, func() bool {
+				received, _ := m.recv.Counters()
+				return received == sent
+			})
+		}
+	}
+	waitFor(t, "every name counted invalid", 2*time.Second, func() bool {
+		return m.reg.Counters().InvalidNames == names
+	})
+	if n := m.reg.Len(); n != 0 {
+		t.Fatalf("registry holds %d streams, want 0", n)
+	}
+	if n := m.recv.Tracked(); n != 0 {
+		t.Fatalf("receiver tracks %d rejected names, want 0", n)
+	}
+}

@@ -17,6 +17,7 @@
 package registry
 
 import (
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,14 +208,14 @@ type Registry struct {
 	opts    Options
 
 	shards    []*shard
-	shardMask uint32
+	shardMask uint64
+	seed      maphash.Seed // keys shardFor, so no outsider can pick a stream's stripe
 	wheel     *timerWheel
 	bus       *Bus
 
 	// gen issues globally unique wheel-entry generations (see stream.gen).
 	gen atomic.Uint64
 
-	heartbeats    atomic.Uint64
 	stale         atomic.Uint64
 	registered    atomic.Uint64
 	invalidNames  atomic.Uint64
@@ -300,7 +301,8 @@ func New(clk clock.Clock, factory Factory, opts Options) *Registry {
 		factory:   factory,
 		opts:      opts,
 		shards:    make([]*shard, opts.Shards),
-		shardMask: uint32(opts.Shards - 1),
+		shardMask: uint64(opts.Shards - 1),
+		seed:      maphash.MakeSeed(),
 		wheel:     newTimerWheel(opts.WheelTick, clk.Now()),
 		bus:       NewBus(),
 	}
@@ -446,7 +448,7 @@ func (r *Registry) setHooks(edit func(cur []*tickHook) []*tickHook) {
 }
 
 func (r *Registry) shardFor(peer string) *shard {
-	return r.shards[fnv32a(peer)&r.shardMask]
+	return r.shards[maphash.String(r.seed, peer)&r.shardMask]
 }
 
 // Register adds a stream without waiting for its first heartbeat
@@ -495,11 +497,20 @@ func (r *Registry) Deregister(peer string) bool {
 
 // Len returns the number of registered streams.
 func (r *Registry) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.len()
-	}
+	n, _ := r.tally()
 	return n
+}
+
+// tally sums the shards in one locked pass: registered streams and
+// accepted heartbeats.
+func (r *Registry) tally() (streams int, heartbeats uint64) {
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		streams += len(sh.streams)
+		heartbeats += sh.heartbeats
+		sh.mu.Unlock()
+	}
+	return streams, heartbeats
 }
 
 // Subscribe attaches a firehose failure-event subscriber (every event)
@@ -574,6 +585,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 	st.det.Observe(a.Seq, a.Send, a.Recv)
 	st.lastSeq, st.lastArrival, st.seen = a.Seq, a.Recv, true
 	st.heartbeats++
+	sh.heartbeats++
 
 	// Surface the self-tuner's "can not satisfy" response as an event,
 	// once per infeasibility episode.
@@ -604,7 +616,6 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 	}
 	sh.mu.Unlock()
 
-	r.heartbeats.Add(1)
 	if r.markCount.Load() > 0 {
 		r.clearMark(a.From, a.Recv)
 	}
@@ -844,8 +855,9 @@ func (r *Registry) Inspect(peer string, fn func(det detector.Detector)) bool {
 func (r *Registry) Counters() Counters {
 	pub, drop := r.bus.Stats()
 	fs := r.bus.FanoutStats()
+	streams, heartbeats := r.tally()
 	return Counters{
-		Heartbeats:    r.heartbeats.Load(),
+		Heartbeats:    heartbeats,
 		Stale:         r.stale.Load(),
 		Registered:    r.registered.Load(),
 		InvalidNames:  r.invalidNames.Load(),
@@ -860,7 +872,7 @@ func (r *Registry) Counters() Counters {
 		FanoutDrops:   r.bus.TopicDropped(),
 		WatchRejected: r.watchRejected.Load(),
 		WatchConns:    int(r.watchConns.Load()),
-		Streams:       r.Len(),
+		Streams:       streams,
 		WheelEntries:  r.wheel.len(),
 		CoarseWakes:   r.coarseWakes.Load(),
 		FineWakes:     r.fineWakes.Load(),
@@ -871,7 +883,7 @@ func (r *Registry) Counters() Counters {
 }
 
 // ShardOccupancy returns the stream count per shard (lock-stripe load
-// balance; with FNV hashing it should be near-uniform).
+// balance; the keyed hash keeps it near-uniform whatever the names).
 func (r *Registry) ShardOccupancy() []int {
 	out := make([]int, len(r.shards))
 	for i, sh := range r.shards {

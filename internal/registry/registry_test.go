@@ -3,7 +3,9 @@ package registry
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -238,8 +240,6 @@ func TestRegistryStaleArrivalsDropped(t *testing.T) {
 	}
 }
 
-// TestRegistryShardOccupancyUniform: FNV striping should spread peers
-// across all shards.
 // TestRegistryReregisterNoStaleFire: register→deregister→register on the
 // same address must never let a wheel entry from the first life fire a
 // transition against the second. Generations are registry-global, so the
@@ -390,6 +390,40 @@ func TestRegistryShardOccupancy(t *testing.T) {
 	if total != 4096 {
 		t.Fatalf("total occupancy %d, want 4096", total)
 	}
+}
+
+// TestRegistryShardFlood: 1 024 names crafted so that an unkeyed FNV-1a
+// shard selector files every one in stripe 0 must still spread over a
+// 16-shard registry. The fair share is 64; no shard may hold more than
+// 128. Under a keyed hash each shard's count is Binomial(1024, 1/16), so
+// a false failure has probability below 1e-9.
+func TestRegistryShardFlood(t *testing.T) {
+	r := New(clock.NewSim(0), chenFactory(100*ms, 100*ms), Options{Shards: 16})
+	for _, name := range fnvCollisions("node-", 1024, 15) {
+		if err := r.Register(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s, n := range r.ShardOccupancy() {
+		if n > 128 {
+			t.Errorf("shard %d holds %d of 1024 crafted names, want at most 128", s, n)
+		}
+	}
+}
+
+// fnvCollisions returns n names prefix+i whose unkeyed 32-bit FNV-1a
+// hash has no bit of mask set: a single stripe under an FNV selector.
+func fnvCollisions(prefix string, n int, mask uint32) []string {
+	out := make([]string, 0, n)
+	for i := 0; len(out) < n; i++ {
+		name := prefix + strconv.Itoa(i)
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		if h.Sum32()&mask == 0 {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // TestRegistryHTTPEndpoints exercises /status, /vars and /healthz.

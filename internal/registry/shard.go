@@ -102,11 +102,13 @@ func (st *stream) setStats(s StreamStats) {
 }
 
 // shard is one lock stripe of the registry: a mutex plus the streams
-// whose FNV-hashed peer address maps here. Register, deregister, and
-// ingest are O(1) under a single stripe lock.
+// whose keyed hash of the stream name maps here, and the heartbeats they
+// accepted. Register, deregister, and ingest are O(1) under a single
+// stripe lock.
 type shard struct {
-	mu      sync.Mutex
-	streams map[string]*stream
+	mu         sync.Mutex
+	streams    map[string]*stream
+	heartbeats uint64 // accepted arrivals, counted under mu
 }
 
 func newShard() *shard {
@@ -117,15 +119,4 @@ func (s *shard) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.streams)
-}
-
-// fnv32a hashes a peer address (FNV-1a, inlined to keep the ingest path
-// allocation-free).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"hash/fnv"
 	"net"
 	"net/netip"
 	"sync"
@@ -329,7 +330,7 @@ func TestUDPQueueShardingBySender(t *testing.T) {
 	hit := make(map[int]bool)
 	for s := 0; s < 64; s++ {
 		ap := netip.AddrPortFrom(netip.MustParseAddr("10.1.2.3"), uint16(20000+s))
-		want := int(fnv32a(ap.String()) & u.qmask)
+		want := u.queueOf(ap.String())
 		for rep := 0; rep < 3; rep++ {
 			u.emit(ap, []byte("x"))
 		}
@@ -345,6 +346,29 @@ func TestUDPQueueShardingBySender(t *testing.T) {
 	}
 	if len(hit) != 4 {
 		t.Fatalf("only %d of 4 queues used across 64 senders", len(hit))
+	}
+}
+
+// TestUDPQueueFlood: 1 024 source ports crafted so that an unkeyed
+// FNV-1a router sends every sender to queue 0 must still spread over
+// four queues. The fair share is 256; no queue may take more than 512.
+func TestUDPQueueFlood(t *testing.T) {
+	u := newUDP(UDPOptions{Queues: 4, Batch: 1})
+	per := make([]int, len(u.queues))
+	for port, n := 1024, 0; n < 1024; port++ {
+		from := netip.AddrPortFrom(netip.MustParseAddr("10.1.2.3"), uint16(port)).String()
+		h := fnv.New32a()
+		h.Write([]byte(from))
+		if h.Sum32()&3 != 0 {
+			continue
+		}
+		per[u.queueOf(from)]++
+		n++
+	}
+	for q, n := range per {
+		if n > 512 {
+			t.Errorf("queue %d takes %d of 1024 crafted senders, want at most 512", q, n)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -109,7 +110,7 @@ const defaultFromCache = 1 << 16
 // Recv() interface on top of the batched machinery.
 type UDPOptions struct {
 	// Queues is the number of per-shard ingest queues (rounded up to a
-	// power of two, default 1). Datagrams are routed by an FNV hash of
+	// power of two, default 1). Datagrams are routed by a keyed hash of
 	// the sender address, so one sender's traffic stays ordered within
 	// its queue. Consumers that only drain Recv() must keep Queues at 1;
 	// heartbeat.Receiver drains every queue.
@@ -219,7 +220,8 @@ type UDP struct {
 	reader udpReader
 
 	queues  []chan Inbound
-	qmask   uint32
+	qmask   uint64
+	seed    maphash.Seed // keys queueOf
 	batched bool
 
 	closed chan struct{}
@@ -284,7 +286,8 @@ func newUDP(opts UDPOptions) *UDP {
 		opts:      opts,
 		pool:      opts.Pool,
 		queues:    make([]chan Inbound, opts.Queues),
-		qmask:     uint32(opts.Queues - 1),
+		qmask:     uint64(opts.Queues - 1),
+		seed:      maphash.MakeSeed(),
 		closed:    make(chan struct{}),
 		fromCache: make(map[netip.AddrPort]string),
 		peers:     make(map[string]*list.Element),
@@ -368,10 +371,7 @@ func (u *UDP) fromString(ap netip.AddrPort) string {
 func (u *UDP) emit(ap netip.AddrPort, payload []byte) {
 	from := u.fromString(ap)
 	in := Inbound{From: from, Payload: payload, pool: u.pool}
-	q := u.queues[0]
-	if u.qmask != 0 {
-		q = u.queues[fnv32a(from)&u.qmask]
-	}
+	q := u.queues[u.queueOf(from)]
 	select {
 	case q <- in:
 		u.received.Add(1)
@@ -380,6 +380,15 @@ func (u *UDP) emit(ap netip.AddrPort, payload []byte) {
 		u.dropped.Add(1)
 		u.pool.Put(payload)
 	}
+}
+
+// queueOf routes a sender address to its ingest queue index, so one
+// sender's traffic stays ordered within one queue.
+func (u *UDP) queueOf(from string) int {
+	if u.qmask == 0 {
+		return 0
+	}
+	return int(maphash.String(u.seed, from) & u.qmask)
 }
 
 // readLoop drives the reader until the endpoint closes. Read errors are
@@ -540,17 +549,6 @@ func (u *UDP) InstrumentMetrics(set *metrics.Set) {
 			}
 			return float64(d)
 		})
-}
-
-// fnv32a hashes a sender address for shard routing (FNV-1a, inlined to
-// keep the receive path allocation-free).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Pump drains an endpoint into a handler until the endpoint closes —
