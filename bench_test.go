@@ -214,37 +214,22 @@ var registryFleetSizesPersist = registryFleetSizes[:3]
 // deadline write. The lazy timer-wheel design keeps the hot path free of
 // wheel operations, so this must stay sub-microsecond at 10k streams.
 //
-// The fleet sizes run a fixed-timeout detector, which has no window. The
-// sfd-1k case runs the paper's SFD in the benchmark's steady shape
-// (window 100, slot 50, 1 s on-time heartbeats) after 1 000 warm-up
-// arrivals per stream, so windows are full, slots close and the
-// adjustment log has reached its cap: the window's narrow words, the
-// feedback loop and the log must not allocate either. sfd-1k-hier is
-// sfd-1k over 22-byte hierarchical names (dc/zone-Z/rack-RR/s-NN, the
-// storm workload's shape) instead of 10-byte srv-NNNNNN ones.
+// The fleet sizes run a fixed-timeout detector, which has no window.
+// named-10k is the 10k case fed the way a receiver hands on wire-v3
+// beats: each arrival carries its stream's Name, and all share one
+// source address in From. The sfd-1k case runs the paper's SFD in the
+// benchmark's steady shape (window 100, slot 50, 1 s on-time heartbeats)
+// after 1 000 warm-up arrivals per stream, so windows are full, slots
+// close and the adjustment log has reached its cap: the window's narrow
+// words, the feedback loop and the log must not allocate either.
+// sfd-1k-hier is sfd-1k over 22-byte hierarchical names
+// (dc/zone-Z/rack-RR/s-NN, the storm workload's shape) instead of
+// 10-byte srv-NNNNNN ones.
 func BenchmarkRegistryIngest(b *testing.B) {
 	for _, size := range registryFleetSizes {
-		b.Run(size.name, func(b *testing.B) {
-			reg := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
-				return sfd.NewFixed(500*clock.Millisecond, 1)
-			}, sfd.RegistryOptions{Shards: 64})
-			peers := make([]string, size.n)
-			seqs := make([]uint64, size.n)
-			for i := range peers {
-				peers[i] = fmt.Sprintf("srv-%06d", i)
-				reg.Observe(sfd.HeartbeatArrival{From: peers[i], Seq: 0, Send: 0, Recv: 0})
-				seqs[i] = 1
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := i % size.n
-				at := clock.Time(i) * clock.Time(clock.Microsecond)
-				reg.Observe(sfd.HeartbeatArrival{From: peers[p], Seq: seqs[p], Send: at, Recv: at})
-				seqs[p]++
-			}
-		})
+		b.Run(size.name, func(b *testing.B) { benchFixedIngest(b, size.n, false) })
 	}
+	b.Run("named-10k", func(b *testing.B) { benchFixedIngest(b, 10_000, true) })
 	b.Run("sfd-1k", func(b *testing.B) {
 		benchSFDIngest(b, func(p int) string { return fmt.Sprintf("srv-%06d", p) })
 	})
@@ -253,6 +238,33 @@ func BenchmarkRegistryIngest(b *testing.B) {
 			return fmt.Sprintf("dc/zone-%d/rack-%02d/s-%02d", p/400, p/20%20, p%20)
 		})
 	})
+}
+
+// benchFixedIngest is a fleet-size case over n fixed-timeout streams,
+// keyed by From, or by Name under one shared From when named is set.
+func benchFixedIngest(b *testing.B, n int, named bool) {
+	reg := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
+		return sfd.NewFixed(500*clock.Millisecond, 1)
+	}, sfd.RegistryOptions{Shards: 64})
+	peers := make([]string, n)
+	seqs := make([]uint64, n)
+	observe := func(p int, at clock.Time) {
+		a := sfd.HeartbeatArrival{From: peers[p], Seq: seqs[p], Send: at, Recv: at}
+		if named {
+			a.From, a.Name = "10.0.0.1:9000", peers[p]
+		}
+		reg.Observe(a)
+		seqs[p]++
+	}
+	for p := range peers {
+		peers[p] = fmt.Sprintf("srv-%06d", p)
+		observe(p, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe(i%n, clock.Time(i)*clock.Time(clock.Microsecond))
+	}
 }
 
 // benchSFDIngest is the sfd-1k case over 1 000 streams named by name(p).

@@ -481,16 +481,13 @@ func runMonitor(c *config) {
 			leaf.ID(), leaf.Aggregators(), len(leaf.Cohorts()), leaf.Options().Interval)
 	}
 
-	// Log every failure-bus transition; eviction also clears the
-	// receiver's stale filter so both tables stay bounded under churn.
+	// Log every failure-bus transition. The receiver keeps no per-stream
+	// state, so eviction frees a stream's only row, in the registry.
 	sub := reg.Subscribe(1024)
 	defer sub.Close()
 	go func() {
 		for ev := range sub.C() {
 			fmt.Printf("event: %s\n", ev)
-			if ev.Type == sfd.EventEvicted {
-				recv.Forget(ev.Peer)
-			}
 		}
 	}()
 

@@ -136,177 +136,6 @@ func TestSenderCrashStopsHeartbeats(t *testing.T) {
 	}
 }
 
-func TestReceiverFiltersStale(t *testing.T) {
-	hub := transport.NewHub(0, 0, 1)
-	sEP := hub.Endpoint("p")
-	rEP := hub.Endpoint("q")
-	defer sEP.Close()
-	defer rEP.Close()
-
-	var mu sync.Mutex
-	var seqs []uint64
-	recv := NewReceiver(rEP, nil, func(a Arrival) { mu.Lock(); seqs = append(seqs, a.Seq); mu.Unlock() })
-	recv.Start()
-
-	send := func(seq uint64) {
-		m := Message{Kind: KindHeartbeat, Seq: seq, Time: 0}
-		sEP.Send("q", m.Marshal())
-	}
-	for _, s := range []uint64{0, 1, 2, 1, 2, 0, 3} {
-		send(s)
-	}
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	want := []uint64{0, 1, 2, 3}
-	if len(seqs) != len(want) {
-		t.Fatalf("accepted %v, want %v", seqs, want)
-	}
-	for i := range want {
-		if seqs[i] != want[i] {
-			t.Fatalf("accepted %v, want %v", seqs, want)
-		}
-	}
-	received, stale := recv.Counters()
-	if received != 4 || stale != 3 {
-		t.Fatalf("counters %d/%d, want 4/3", received, stale)
-	}
-}
-
-// TestReceiverForget: dropping a peer's stale-filter state bounds the
-// table under churn and re-admits the peer from any sequence number.
-func TestReceiverForget(t *testing.T) {
-	hub := transport.NewHub(0, 0, 1)
-	sEP := hub.Endpoint("p")
-	rEP := hub.Endpoint("q")
-	defer sEP.Close()
-	defer rEP.Close()
-
-	var mu sync.Mutex
-	var seqs []uint64
-	recv := NewReceiver(rEP, nil, func(a Arrival) { mu.Lock(); seqs = append(seqs, a.Seq); mu.Unlock() })
-	recv.Start()
-
-	send := func(seq uint64) {
-		m := Message{Kind: KindHeartbeat, Seq: seq, Time: 0}
-		sEP.Send("q", m.Marshal())
-	}
-	send(10)
-	time.Sleep(20 * time.Millisecond)
-	if recv.Tracked() != 1 {
-		t.Fatalf("Tracked() = %d, want 1", recv.Tracked())
-	}
-	// Without Forget, seq 3 would be stale-dropped (3 <= 10). After
-	// Forget the peer restarts from scratch and 3 is accepted.
-	recv.Forget("p")
-	if recv.Tracked() != 0 {
-		t.Fatalf("Tracked() after Forget = %d, want 0", recv.Tracked())
-	}
-	send(3)
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seqs) != 2 || seqs[0] != 10 || seqs[1] != 3 {
-		t.Fatalf("accepted %v, want [10 3]", seqs)
-	}
-}
-
-// TestReceiverIncarnationEcho: a restarted sender bumps its incarnation
-// and restarts sequence numbering from 0; the receiver must accept the
-// new life immediately and reject stragglers from the dead one.
-func TestReceiverIncarnationEcho(t *testing.T) {
-	hub := transport.NewHub(0, 0, 1)
-	sEP := hub.Endpoint("p")
-	rEP := hub.Endpoint("q")
-	defer sEP.Close()
-	defer rEP.Close()
-
-	var mu sync.Mutex
-	var got []Arrival
-	recv := NewReceiver(rEP, nil, func(a Arrival) { mu.Lock(); got = append(got, a); mu.Unlock() })
-	recv.Start()
-
-	send := func(inc, seq uint64) {
-		m := Message{Kind: KindHeartbeat, Seq: seq, Inc: inc}
-		sEP.Send("q", m.Marshal())
-	}
-	send(0, 10)
-	send(1, 0)  // restart: lower seq, higher incarnation → accepted
-	send(0, 11) // straggler from the dead incarnation → dropped
-	send(1, 1)
-	time.Sleep(30 * time.Millisecond)
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []struct{ inc, seq uint64 }{{0, 10}, {1, 0}, {1, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("accepted %d arrivals, want %d: %+v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if got[i].Inc != w.inc || got[i].Seq != w.seq {
-			t.Fatalf("arrival %d = inc %d seq %d, want inc %d seq %d",
-				i, got[i].Inc, got[i].Seq, w.inc, w.seq)
-		}
-	}
-	if _, stale := recv.Counters(); stale != 1 {
-		t.Fatalf("stale = %d, want 1", stale)
-	}
-}
-
-// TestReceiverForgetConcurrent races Forget/Tracked against a stream of
-// deliveries — the churn pattern of a monitor evicting peers while their
-// last datagrams are still in flight (run under -race; mirrors the
-// transport Hub stress test).
-func TestReceiverForgetConcurrent(t *testing.T) {
-	hub := transport.NewHub(0, 0, 1)
-	rEP := hub.Endpoint("q")
-	defer rEP.Close()
-
-	peers := []string{"a", "b", "c", "d"}
-	eps := make([]*transport.MemEndpoint, len(peers))
-	for i, p := range peers {
-		eps[i] = hub.Endpoint(p)
-		defer eps[i].Close()
-	}
-
-	recv := NewReceiver(rEP, nil, func(Arrival) {})
-	recv.Start()
-
-	const rounds = 500
-	var wg sync.WaitGroup
-	for i := range peers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for seq := uint64(0); seq < rounds; seq++ {
-				m := Message{Kind: KindHeartbeat, Seq: seq}
-				eps[i].Send("q", m.Marshal())
-			}
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 0; n < rounds; n++ {
-			recv.Forget(peers[n%len(peers)])
-			recv.Tracked()
-			recv.Counters()
-		}
-	}()
-	wg.Wait()
-	time.Sleep(20 * time.Millisecond) // let queued deliveries drain
-
-	if got := recv.Tracked(); got > len(peers) {
-		t.Fatalf("Tracked() = %d, want ≤ %d", got, len(peers))
-	}
-	for _, p := range peers {
-		recv.Forget(p)
-	}
-	if got := recv.Tracked(); got != 0 {
-		t.Fatalf("Tracked() after forgetting everyone = %d, want 0", got)
-	}
-}
-
 func TestReceiverIgnoresForeignDatagrams(t *testing.T) {
 	hub := transport.NewHub(0, 0, 1)
 	sEP := hub.Endpoint("p")

@@ -1,10 +1,12 @@
 // Package heartbeat implements the paper's monitoring protocol (Fig. 2):
 // a Sender emits numbered, timestamped heartbeats every Δt over an
-// unreliable datagram endpoint; a Receiver decodes them, filters stale
-// deliveries, and feeds any failure detector. A Ping probe runs alongside
-// to estimate the round-trip time, mirroring the paper's "low-frequency
-// ping process ... a means to obtain a rough estimation of the round-trip
-// time, and also to make sure the network is connected" (§V).
+// unreliable datagram endpoint; a Receiver decodes them and feeds every
+// one to a handler, normally registry.Registry.Observe, which drops stale
+// deliveries before any failure detector sees them. A Ping probe runs
+// alongside to estimate the round-trip time, mirroring the paper's
+// "low-frequency ping process ... a means to obtain a rough estimation
+// of the round-trip time, and also to make sure the network is
+// connected" (§V).
 package heartbeat
 
 import (
@@ -64,7 +66,7 @@ type Message struct {
 	// own clock alone.
 	Time clock.Time
 	// Inc is the sender's incarnation number (SWIM-style): a process that
-	// restarts after a crash bumps it, which both resets the receiver's
+	// restarts after a crash bumps it, which both resets the monitor's
 	// per-incarnation sequence filter and lets the gossip layer refute
 	// stale suspicion of the previous incarnation.
 	Inc uint64
@@ -124,7 +126,8 @@ func Unmarshal(b []byte) (Message, error) {
 // Decode is Unmarshal without the name allocation: the v3 stream name is
 // returned as a sub-slice of b (nil for v1/v2) and m.Name is left empty.
 // Callers must not retain the name slice past the datagram buffer's
-// lifetime — the receiver interns it into its own state instead.
+// lifetime — the receiver passes it on as a call-scoped Arrival.Name,
+// and the registry copies it once, when the name's stream is created.
 func Decode(b []byte) (m Message, name []byte, err error) {
 	if len(b) < msgSizeV1 {
 		return Message{}, nil, fmt.Errorf("%w: length %d", ErrBadMessage, len(b))

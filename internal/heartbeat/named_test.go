@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/transport"
@@ -84,9 +83,11 @@ func TestMarshalPanicsOnOverlongName(t *testing.T) {
 	(&Message{Kind: KindHeartbeat, Name: strings.Repeat("n", MaxNameLen+1)}).Marshal()
 }
 
-// TestReceiverKeysByName is the heart of wire v3: two sockets carrying
-// the same logical name are one stream (seq continues, no reset), and
-// the arrival's From is the name, not the socket address.
+// TestReceiverKeysByName is the heart of wire v3: the arrival carries
+// the logical name beside the socket address, so two sockets carrying
+// one name reach the registry as one stream. The receiver keeps no
+// per-stream state, so the duplicate from the old socket is handed on
+// too; the registry drops it as stale.
 func TestReceiverKeysByName(t *testing.T) {
 	hub := transport.NewHub(0, 0, 1)
 	mon := hub.Endpoint("mon")
@@ -97,6 +98,7 @@ func TestReceiverKeysByName(t *testing.T) {
 	var arrivals []Arrival
 	var mu sync.Mutex
 	r := NewReceiver(mon, clk, func(a Arrival) {
+		a.Name = strings.Clone(a.Name) // valid only during the call
 		mu.Lock()
 		arrivals = append(arrivals, a)
 		mu.Unlock()
@@ -113,35 +115,31 @@ func TestReceiverKeysByName(t *testing.T) {
 	send(sockA, 0)
 	send(sockA, 1)
 	send(sockB, 2) // same stream continues from a new source address
-	send(sockA, 2) // duplicate seq from the old address: stale
-	waitFor(t, "3 named arrivals", func() bool {
+	send(sockA, 2) // duplicate seq from the old address
+	waitFor(t, "4 named arrivals", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(arrivals) >= 3
+		return len(arrivals) == 4
 	})
-	time.Sleep(20 * time.Millisecond)
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(arrivals) != 3 {
-		t.Fatalf("got %d arrivals, want 3 (dup from old socket must be stale)", len(arrivals))
-	}
-	for i, a := range arrivals {
-		if a.From != "app/db-1" {
-			t.Fatalf("arrival %d keyed by %q, want the logical name", i, a.From)
+	want := []struct {
+		from string
+		seq  uint64
+	}{{"sockA", 0}, {"sockA", 1}, {"sockB", 2}, {"sockA", 2}}
+	for i, w := range want {
+		a := arrivals[i]
+		if a.Name != "app/db-1" || a.From != w.from || a.Seq != w.seq {
+			t.Fatalf("arrival %d = name %q from %q seq %d, want name app/db-1 from %q seq %d",
+				i, a.Name, a.From, a.Seq, w.from, w.seq)
 		}
-		if a.Seq != uint64(i) {
-			t.Fatalf("arrival %d has seq %d", i, a.Seq)
-		}
-	}
-	if got := r.Tracked(); got != 1 {
-		t.Fatalf("two sockets, one name: tracked=%d, want 1", got)
 	}
 }
 
-// TestReceiverNamedDecodeNoAlloc locks in the alloc-free ingest path for
-// a known stream: Decode returns the name as a sub-slice and the filter
-// map is probed without materializing a string.
+// TestReceiverNamedDecodeNoAlloc locks in the alloc-free ingest path:
+// Decode returns the name as a sub-slice of the datagram, and the
+// receiver hands it on without materializing a string.
 func TestReceiverNamedDecodeNoAlloc(t *testing.T) {
 	m := Message{Kind: KindHeartbeat, Seq: 1, Time: 2, Inc: 1, Name: "dc/s-00042"}
 	b := m.Marshal()

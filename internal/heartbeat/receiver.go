@@ -1,23 +1,29 @@
 package heartbeat
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
-	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
-// Arrival is one decoded heartbeat delivery.
+// Arrival is one decoded heartbeat delivery. Its eight words (64 B) and
+// a method's receiver fill the nine integer argument registers of Go's
+// amd64 ABI, so Registry.Observe(a) takes a in registers; one more word
+// would pass it on the stack and slow every heartbeat.
 type Arrival struct {
-	// From identifies the stream: the carried logical name for wire-v3
-	// heartbeats, the datagram's source address otherwise.
+	// From is the datagram's source address.
 	From string
+	// Name is the logical stream name a wire-v3 heartbeat carries (empty
+	// for v1/v2). A Receiver builds it over the pooled receive buffer, so
+	// it is valid only during the handler call: a handler that keeps it
+	// must copy it (strings.Clone).
+	Name string
 	Seq  uint64
 	Send clock.Time // sender clock (from the payload)
 	Recv clock.Time // receiver clock (local arrival)
@@ -30,30 +36,25 @@ type Arrival struct {
 // so it must be fast or hand off.
 type Handler func(Arrival)
 
-// Receiver drains an endpoint, decodes heartbeats, filters stale
-// (out-of-order or duplicate) deliveries per sender, answers pings, and
-// feeds arrivals to the handler — the paper's monitoring process q.
+// Receiver drains an endpoint, decodes heartbeats, answers pings, routes
+// foreign datagrams, and hands every heartbeat to the handler — the
+// paper's monitoring process q. It keeps no per-stream state:
+// duplicates, reordered beats and a dead incarnation's stragglers all
+// reach the handler, and registry.Registry.Observe drops them as stale.
 //
 // On a multi-queue endpoint (transport.QueuedEndpoint with more than
 // one ingest queue) Start runs one drain goroutine per queue, so the
 // handler MUST be safe for concurrent use — registry.Registry.Observe
-// is. The stale filter is sharded by sender to match: per-sender state
-// never crosses shards, so parallel drains contend only when two
-// senders hash together, not on one global mutex.
+// is.
 type Receiver struct {
 	ep      transport.Endpoint
 	clk     clock.Clock
 	handler Handler
-
-	filters [filterShards]filterShard
-	seed    maphash.Seed // keys the stale-filter stripes
 	foreign atomic.Pointer[func(transport.Inbound)]
 
-	// Datagram counters live outside the filter locks: the ingest path
-	// bumps them with single atomic adds, and the metrics layer samples
-	// them at scrape time without touching any stale-filter lock.
+	// The ingest path bumps the datagram counters with single atomic
+	// adds; the metrics layer samples them at scrape time.
 	received    atomic.Uint64
-	stale       atomic.Uint64
 	foreignSeen atomic.Uint64
 	pings       atomic.Uint64
 	// decodeSec, when instrumented, observes per-datagram decode+dispatch
@@ -64,48 +65,13 @@ type Receiver struct {
 	done chan struct{}
 }
 
-// filterShards stripes the per-sender stale filter (power of two). 64
-// stripes keep contention negligible even with a drain goroutine per
-// ingest queue hammering the filter from every core.
-const filterShards = 64
-
-// filterShard is one stale-filter stripe.
-type filterShard struct {
-	mu   sync.Mutex
-	last map[string]incSeq
-}
-
-// incSeq is the per-sender stale-filter state: the highest (incarnation,
-// sequence) pair accepted so far, ordered lexicographically. For named
-// (wire v3) streams, name holds the canonical interned copy of the
-// stream name so the ingest path reuses it instead of allocating a
-// string per datagram.
-type incSeq struct {
-	inc  uint64
-	seq  uint64
-	name string
-}
-
 // NewReceiver wraps the endpoint. The handler may be nil (pings are still
 // answered, counters still maintained).
 func NewReceiver(ep transport.Endpoint, clk clock.Clock, h Handler) *Receiver {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	r := &Receiver{
-		ep: ep, clk: clk, handler: h,
-		seed: maphash.MakeSeed(),
-		done: make(chan struct{}),
-	}
-	for i := range r.filters {
-		r.filters[i].last = make(map[string]incSeq)
-	}
-	return r
-}
-
-// filterFor returns the sender's stale-filter stripe.
-func (r *Receiver) filterFor(from string) *filterShard {
-	return &r.filters[maphash.String(r.seed, from)&(filterShards-1)]
+	return &Receiver{ep: ep, clk: clk, handler: h, done: make(chan struct{})}
 }
 
 // SetForeign installs a handler for datagrams that are not heartbeat
@@ -173,53 +139,14 @@ func (r *Receiver) handle(in transport.Inbound) {
 		pong := Message{Kind: KindPong, Seq: msg.Seq, Time: msg.Time}
 		_ = r.ep.Send(in.From, pong.Marshal())
 	case KindHeartbeat:
-		recv := r.clk.Now()
-		// A v3 heartbeat is identified by its carried stream name, not the
-		// datagram's source address: many logical senders can share one
-		// socket, and a NAT rebind (new source port, same name) continues
-		// the same stream. Nameless (v1/v2) heartbeats key by address.
-		from := in.From
-		var fs *filterShard
+		a := Arrival{From: in.From, Seq: msg.Seq, Send: msg.Time, Recv: r.clk.Now(), Inc: msg.Inc}
 		if len(nameRef) > 0 {
-			// maphash.Bytes agrees with maphash.String on equal content, so
-			// Forget(name) finds this stripe.
-			fs = &r.filters[maphash.Bytes(r.seed, nameRef)&(filterShards-1)]
-		} else {
-			fs = r.filterFor(from)
+			// No copy: the name is read during the handler call only.
+			a.Name = unsafe.String(&nameRef[0], len(nameRef))
 		}
-		fs.mu.Lock()
-		var last incSeq
-		var seen bool
-		if len(nameRef) > 0 {
-			// string(nameRef) in a map index compiles to an alloc-free
-			// lookup; the canonical name string is interned in the entry,
-			// so the steady state allocates nothing per datagram.
-			last, seen = fs.last[string(nameRef)]
-			if seen {
-				from = last.name
-			} else {
-				from = string(nameRef)
-			}
-		} else {
-			last, seen = fs.last[from]
-		}
-		// A higher incarnation always supersedes; within one incarnation
-		// the detector needs strictly increasing sequence numbers.
-		if seen && (msg.Inc < last.inc || (msg.Inc == last.inc && msg.Seq <= last.seq)) {
-			fs.mu.Unlock()
-			r.stale.Add(1)
-			return // duplicate, reordered, or from a dead incarnation
-		}
-		// A name the registry will reject gets no filter state: nothing
-		// would ever Forget it. Its arrival still goes on, so the
-		// registry counts it.
-		if seen || fanout.ValidateName(from) == nil {
-			fs.last[from] = incSeq{inc: msg.Inc, seq: msg.Seq, name: from}
-		}
-		fs.mu.Unlock()
 		r.received.Add(1)
 		if r.handler != nil {
-			r.handler(Arrival{From: from, Seq: msg.Seq, Send: msg.Time, Recv: recv, Inc: msg.Inc})
+			r.handler(a)
 		}
 	case KindPong:
 		// Pongs are consumed by Prober instances sharing the endpoint;
@@ -233,60 +160,27 @@ func (r *Receiver) handle(in transport.Inbound) {
 // Wait blocks until the receive loop exits (endpoint closed).
 func (r *Receiver) Wait() { <-r.done }
 
-// Forget drops the stale-filter state for a sender. Call it when a peer
-// is evicted from the monitoring table; otherwise the filter table grows
-// one entry per address ever heard from, unbounded under churn. A sender
-// that reappears after Forget is accepted from whatever sequence number
-// it resumes at.
-func (r *Receiver) Forget(peer string) {
-	fs := r.filterFor(peer)
-	fs.mu.Lock()
-	delete(fs.last, peer)
-	fs.mu.Unlock()
-}
-
-// Tracked returns how many senders currently have stale-filter state —
-// the bound Forget maintains. It sums the stripes without a global
-// lock, so the count is approximate under concurrent ingest (exact when
-// quiescent).
-func (r *Receiver) Tracked() int {
-	n := 0
-	for i := range r.filters {
-		fs := &r.filters[i]
-		fs.mu.Lock()
-		n += len(fs.last)
-		fs.mu.Unlock()
-	}
-	return n
-}
-
-// Counters returns the number of accepted and stale heartbeats.
+// Counters returns the number of heartbeats handed to the handler, and
+// a stale count that is always 0: the registry filters stale beats.
 func (r *Receiver) Counters() (received, stale uint64) {
-	return r.received.Load(), r.stale.Load()
+	return r.received.Load(), 0
 }
 
 // InstrumentMetrics registers this receiver's instruments in set:
-// accepted/stale/foreign datagram counters, pings answered, the current
-// stale-filter size, and a decode+dispatch latency histogram observed on
-// every datagram. The ingest path stays allocation-free — counters are
+// accepted/foreign datagram counters, pings answered, and a
+// decode+dispatch latency histogram observed on every datagram. The ingest path stays allocation-free — counters are
 // the same atomics the receiver already maintains, sampled at scrape
 // time, and the histogram update is two atomic adds plus a CAS.
 func (r *Receiver) InstrumentMetrics(set *metrics.Set) {
 	set.CounterFunc("sfd_receiver_accepted_total",
-		"Heartbeats accepted by the stale filter and handed to the detector pipeline.",
+		"Heartbeats decoded and handed to the registry, which drops the stale ones.",
 		r.received.Load)
-	set.CounterFunc("sfd_receiver_stale_total",
-		"Heartbeats dropped as duplicate, reordered, or from a dead incarnation.",
-		r.stale.Load)
 	set.CounterFunc("sfd_receiver_foreign_total",
 		"Datagrams that were not heartbeat protocol (handed to the foreign handler, e.g. gossip).",
 		r.foreignSeen.Load)
 	set.CounterFunc("sfd_receiver_pings_total",
 		"Ping requests answered with pongs.",
 		r.pings.Load)
-	set.GaugeFunc("sfd_receiver_tracked_streams",
-		"Senders with live stale-filter state (bounded by Forget on eviction).",
-		func() float64 { return float64(r.Tracked()) })
 	r.decodeSec.Store(set.Histogram("sfd_receiver_decode_seconds",
 		"Per-datagram decode and dispatch latency.", nil))
 }

@@ -161,7 +161,7 @@ func (s *Sender) Name() string {
 
 // SetIncarnation sets the incarnation number carried in every heartbeat.
 // A process restarting after a crash sets a value greater than its
-// previous life's, which resets receiver sequence filters and refutes any
+// previous life's, which resets monitor sequence filters and refutes any
 // suspicion of the dead incarnation still circulating in gossip.
 func (s *Sender) SetIncarnation(inc uint64) { s.inc.Store(inc) }
 

@@ -41,6 +41,12 @@ func TestStreamFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(wheelBlock{}); size != 1008 {
 		t.Errorf("wheelBlock is %d B, want 1008 B (31 entries in the 1 024 B size class)", size)
 	}
+	// Observe takes the arrival by value. Eight words plus the receiver
+	// fill amd64's nine integer argument registers; a ninth word (a
+	// []byte name, say) passes it on the stack and slows every beat.
+	if size := unsafe.Sizeof(heartbeat.Arrival{}); size > 64 {
+		t.Errorf("heartbeat.Arrival is %d B, past 64 B (Observe would take it on the stack)", size)
+	}
 	const interval = clock.Second
 	twelve := func(i int) int { return 100 + 50 + 1 + i%50 }
 	cases := []struct {

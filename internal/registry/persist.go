@@ -138,7 +138,7 @@ func (r *Registry) importSnapshot(snap *persist.Snapshot, deltas []persist.Delta
 			sh.mu.Unlock()
 			continue
 		}
-		st := r.newStreamLocked(sh, rec.Peer)
+		st := r.newStreamLocked(sh, rec.Peer, false)
 		st.inc = rec.Inc
 		st.seen = rec.Seen
 		st.lastSeq = rec.LastSeq

@@ -150,7 +150,7 @@ func TestNATRebindKeepsTrust(t *testing.T) {
 	waitFor(t, "every heartbeat accepted", 2*time.Second, func() bool {
 		return m.reg.Counters().Heartbeats == sent
 	})
-	if _, stale := m.recv.Counters(); stale != 0 {
+	if stale := m.reg.Counters().Stale; stale != 0 {
 		t.Fatalf("%d rebound heartbeats dropped as stale", stale)
 	}
 	if got := m.reg.Len(); got != len(senders) {
@@ -178,8 +178,7 @@ func TestSeqResetWithoutIncBumpIsStale(t *testing.T) {
 	s.rebind(false) // seq reset, same incarnation: must be dropped as stale
 	s.beat(clk)
 	waitFor(t, "stale reset counted", 2*time.Second, func() bool {
-		_, stale := m.recv.Counters()
-		return stale == 1
+		return m.reg.Counters().Stale == 1
 	})
 	if got := m.reg.Counters().Heartbeats; got != 5 {
 		t.Fatalf("stale seq-reset accepted: heartbeats 5 → %d", got)
@@ -191,10 +190,9 @@ func TestSeqResetWithoutIncBumpIsStale(t *testing.T) {
 	})
 }
 
-// TestReceiverSkipsInvalidNames: a v3 name the registry rejects must
-// leave no stale-filter state behind, because nothing would ever Forget
-// it. The arrivals still reach the registry, which counts every name as
-// invalid.
+// TestReceiverSkipsInvalidNames: every beat under a v3 name the registry
+// rejects still reaches the registry, which counts the name invalid and
+// keeps no stream for it.
 func TestReceiverSkipsInvalidNames(t *testing.T) {
 	clk := clock.NewReal()
 	m := startUDPMonitor(t, clk)
@@ -216,8 +214,5 @@ func TestReceiverSkipsInvalidNames(t *testing.T) {
 	})
 	if n := m.reg.Len(); n != 0 {
 		t.Fatalf("registry holds %d streams, want 0", n)
-	}
-	if n := m.recv.Tracked(); n != 0 {
-		t.Fatalf("receiver tracks %d rejected names, want 0", n)
 	}
 }

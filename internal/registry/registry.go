@@ -19,6 +19,7 @@ package registry
 import (
 	"hash/maphash"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -467,7 +468,7 @@ func (r *Registry) Register(peer string) error {
 	sh := r.shardFor(peer)
 	sh.mu.Lock()
 	if _, ok := sh.streams[peer]; !ok {
-		st := r.newStreamLocked(sh, peer)
+		st := r.newStreamLocked(sh, peer, false)
 		if r.opts.MaxSilence > 0 {
 			r.rearmLocked(st, r.clk.Now().Add(r.opts.MaxSilence))
 		}
@@ -477,7 +478,13 @@ func (r *Registry) Register(peer string) error {
 }
 
 // newStreamLocked creates and files a stream; the shard lock must be held.
-func (r *Registry) newStreamLocked(sh *shard, peer string) *stream {
+// An aliased peer (a receiver's Arrival.Name, over a buffer it reuses) is
+// copied first. The copy is made here, not in Observe, to keep it off
+// Observe's hot path.
+func (r *Registry) newStreamLocked(sh *shard, peer string, aliased bool) *stream {
+	if aliased {
+		peer = strings.Clone(peer)
+	}
 	st := &stream{peer: peer, det: r.factory(peer)}
 	sh.streams[peer] = st
 	r.registered.Add(1)
@@ -535,27 +542,37 @@ func (r *Registry) Bus() *Bus { return r.bus }
 //
 //	recv := heartbeat.NewReceiver(ep, clk, reg.Observe)
 //
-// Arrivals from unknown peers auto-register them (a server joining the
-// cloud announces itself by heartbeating). The hot path takes one shard
-// lock and normally never touches the wheel: a heartbeat only moves the
-// stream's authoritative deadline, and the wheel entry re-arms itself
-// when it fires.
+// The arrival's stream is its Name when set (a wire-v3 heartbeat), its
+// From otherwise. Observe is the only stale filter on the ingest path: a
+// beat not above the stream's (incarnation, seq) is counted stale and
+// dropped. Arrivals from unknown streams auto-register them (a server
+// joining the cloud announces itself by heartbeating). The hot path
+// takes one shard lock and normally never touches the wheel: a
+// heartbeat only moves the stream's authoritative deadline, and the
+// wheel entry re-arms itself when it fires.
 func (r *Registry) Observe(a heartbeat.Arrival) {
-	sh := r.shardFor(a.From)
-	var evs [2]Event
-	nev := 0
+	key := a.From
+	if a.Name != "" {
+		key = a.Name
+	}
+	sh := r.shardFor(key)
+	// A transition is noted in these flags and its event built after the
+	// lock is released. An [2]Event buffer here would be zeroed on every
+	// beat, and a beat rarely carries an event.
+	var trusted, infeasible bool
+	var response string
 
 	sh.mu.Lock()
-	st, ok := sh.streams[a.From]
+	st, ok := sh.streams[key]
 	if !ok {
 		// First sight of this name: validate it before it becomes a
 		// topic. Known streams skip this, so the hot path pays nothing.
-		if err := fanout.ValidateName(a.From); err != nil {
+		if err := fanout.ValidateName(key); err != nil {
 			sh.mu.Unlock()
 			r.invalidNames.Add(1)
 			return
 		}
-		st = r.newStreamLocked(sh, a.From)
+		st = r.newStreamLocked(sh, key, a.Name != "")
 	}
 	if st.seen && (a.Inc < st.inc || (a.Inc == st.inc && a.Seq <= st.lastSeq)) {
 		st.touchCold().stale++
@@ -566,7 +583,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 	if st.seen && a.Inc > st.inc {
 		// A restarted process: its arrival statistics share nothing with
 		// the dead incarnation, so start the detector over.
-		st.det = r.factory(a.From)
+		st.det = r.factory(st.peer)
 	}
 	st.inc = a.Inc
 
@@ -578,8 +595,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 			c.mistakeTime += a.Recv.Sub(st.suspectSince)
 		}
 		st.phase = phaseTrusted
-		evs[nev] = Event{Type: EventTrust, Peer: a.From, At: a.Recv, Incarnation: a.Inc}
-		nev++
+		trusted = true
 	}
 
 	st.det.Observe(a.Seq, a.Send, a.Recv)
@@ -593,8 +609,7 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 		if sd.State() == core.StateInfeasible {
 			if !st.infeasible {
 				st.infeasible = true
-				evs[nev] = Event{Type: EventCannotSatisfy, Peer: a.From, At: a.Recv}.WithNote("", sd.Response())
-				nev++
+				infeasible, response = true, sd.Response()
 			}
 		} else {
 			st.infeasible = false
@@ -617,10 +632,13 @@ func (r *Registry) Observe(a heartbeat.Arrival) {
 	sh.mu.Unlock()
 
 	if r.markCount.Load() > 0 {
-		r.clearMark(a.From, a.Recv)
+		r.clearMark(st.peer, a.Recv)
 	}
-	for i := 0; i < nev; i++ {
-		r.publish(evs[i])
+	if trusted {
+		r.publish(Event{Type: EventTrust, Peer: st.peer, At: a.Recv, Incarnation: a.Inc})
+	}
+	if infeasible {
+		r.publish(Event{Type: EventCannotSatisfy, Peer: st.peer, At: a.Recv}.WithNote("", response))
 	}
 }
 

@@ -254,11 +254,13 @@ func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 type (
 	// Endpoint is an unreliable datagram endpoint.
 	Endpoint = transport.Endpoint
-	// HeartbeatArrival is one decoded heartbeat delivery.
+	// HeartbeatArrival is one decoded heartbeat delivery. A receiver's
+	// Name aliases its receive buffer and is valid only during the
+	// handler call: copy it to keep it.
 	HeartbeatArrival = heartbeat.Arrival
 	// HeartbeatSender emits periodic heartbeats (the paper's process p).
 	HeartbeatSender = heartbeat.Sender
-	// HeartbeatReceiver decodes and filters heartbeats (process q).
+	// HeartbeatReceiver decodes heartbeats and hands them on (process q).
 	HeartbeatReceiver = heartbeat.Receiver
 	// Prober estimates RTT with ping/pong, like the paper's parallel
 	// low-frequency ping process.
@@ -302,8 +304,9 @@ func NewHeartbeatSender(ep Endpoint, to string, interval Duration, clk Clock) *H
 	return heartbeat.NewSender(ep, to, interval, clk)
 }
 
-// NewHeartbeatReceiver drains ep, filters stale heartbeats, answers
-// pings, and feeds arrivals to h.
+// NewHeartbeatReceiver drains ep, answers pings, and feeds every
+// heartbeat to h. It keeps no per-stream state: the registry's Observe
+// drops stale heartbeats.
 func NewHeartbeatReceiver(ep Endpoint, clk Clock, h func(HeartbeatArrival)) *HeartbeatReceiver {
 	return heartbeat.NewReceiver(ep, clk, h)
 }
