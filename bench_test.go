@@ -525,9 +525,11 @@ func BenchmarkRegistryTimerWheel(b *testing.B) {
 	// 10k-stream fleet due to beat does so at its own phase (10 µs
 	// apart). wide's safety margin (timeout − interval) is 5 ticks; tight's
 	// is half a tick, below WheelTick, so every healthy stream whose τ
-	// lies in the second half of a tick rides the fine heap each interval
-	// and the driver wakes on the 1 ms grid points of that half. The
-	// difference between the two is that path's cost.
+	// lies in the second half of a tick rides the fine heap each interval.
+	// The driver wakes once per tick, for the earliest of them; by then
+	// every other one's stream has beaten, and the Tick resolves those
+	// entries as moved on. The difference between the two is that path's
+	// cost.
 	for _, m := range []struct {
 		name   string
 		margin clock.Duration

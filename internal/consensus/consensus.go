@@ -180,11 +180,14 @@ func New(opts Options) *Cluster {
 	return c
 }
 
-// Propose sets a process's initial value (its vote).
+// Propose sets a process's initial value (its vote). Its timestamp is
+// −1, below every round's: an estimate adopted in round 0 carries ts 0
+// and must outrank every initial estimate, or round 1's coordinator could
+// break a tie against round 0's lock and propose a different value.
 func (c *Cluster) Propose(id int, value string) {
 	p := c.Procs[id]
 	p.estimate = value
-	p.ts = 0
+	p.ts = -1
 }
 
 // Crash stops a process permanently: no more heartbeats, no more

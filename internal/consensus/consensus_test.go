@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -274,4 +275,101 @@ func TestConsensusLateCrashAfterDecision(t *testing.T) {
 	if err != nil || v1 != v2 {
 		t.Fatalf("post-decision crash changed outcome: %q vs %q (%v)", v1, v2, err)
 	}
+}
+
+// wan is a slow link with heavy tails: 40 ms + 10±10 ms, and one message
+// in 20 delayed by a further 400 ms on average. Tails reorder proposals
+// and acknowledgements across rounds, which is what exposes a lock that
+// does not outrank the initial estimates.
+var wan = netsim.LinkParams{
+	DelayBase: 40 * msX, JitterMean: 10 * msX, JitterStd: 10 * msX,
+	TailProb: 0.05, TailScale: 400 * msX,
+}
+
+// TestConsensusRoundZeroLock: with three correct processes on wan, p0
+// decides "a" in round 0 after p1 adopted it, while a tail holds p1's
+// acknowledgement back. Round 1's coordinator must then propose "a" too:
+// the round-0 lock must outrank every initial estimate. With initial
+// estimates stamped ts 0, the lock tied with them and p1 decided "b".
+// Kills the mutant `p.ts = -1` → `p.ts = 0` in Propose.
+func TestConsensusRoundZeroLock(t *testing.T) {
+	c := New(Options{N: 3, Seed: 19, StartDelay: 3 * clock.Second, Link: wan})
+	proposals := []string{"a", "b", "c"}
+	proposeAll(c, proposals...)
+	if !c.Run(120 * clock.Second) {
+		t.Fatal("consensus did not terminate")
+	}
+	assertAgreementAndValidity(t, c, proposals)
+}
+
+// Links of the safety matrix besides wan: the default 2 ms LAN, and a
+// jittery one whose delay spread (5 ms + 20±30 ms) dwarfs its floor.
+var (
+	lan     = netsim.LinkParams{}
+	jittery = netsim.LinkParams{DelayBase: 5 * msX, JitterMean: 20 * msX, JitterStd: 30 * msX}
+)
+
+// matrixDetectors are the detectors the safety matrix runs under, for
+// 50 ms heartbeats. Safety must not depend on any of them.
+var matrixDetectors = map[string]registry.Factory{
+	"chen":  nil, // Options' default: Chen with a 4-interval margin
+	"chen0": func(string) detector.Detector { return detector.NewChen(20, 50*msX, 0) },
+	"phi":   func(string) detector.Detector { return detector.NewPhi(20, 8, 10*msX) },
+	"bertier": func(string) detector.Detector {
+		return detector.NewBertier(20, 50*msX, detector.DefaultBertierParams())
+	},
+	"sfd": func(string) detector.Detector {
+		return core.New(core.Config{WindowSize: 20, Interval: 50 * msX, InitialMargin: 200 * msX})
+	},
+}
+
+// testRun runs n processes under detector det on link for seeds 1..seeds,
+// crashing processes 0..f−1 (the first f coordinators) at crashAt, and
+// asserts agreement and validity on every seed. The protocol starts at
+// 3 s, so a crash before then leaves a silent peer and one after it
+// strikes mid-round. Termination is not asserted: safety must hold
+// whether or not a run decides within maxTime.
+func testRun(t *testing.T, n, f int, det string, link netsim.LinkParams, crashAt clock.Duration, seeds int, maxTime clock.Duration) {
+	t.Helper()
+	factory, ok := matrixDetectors[det]
+	if !ok {
+		t.Fatalf("unknown detector %q", det)
+	}
+	proposals := make([]string, n)
+	for i := range proposals {
+		proposals[i] = fmt.Sprintf("v%d", i)
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		c := New(Options{N: n, Seed: seed, StartDelay: 3 * clock.Second, Link: link, Factory: factory})
+		proposeAll(c, proposals...)
+		for i := 0; i < f; i++ {
+			c.CrashAt(i, crashAt)
+		}
+		c.Run(maxTime)
+		v, err := c.Agreement()
+		if err != nil {
+			t.Fatalf("%d of %d crashed at %v, %s: seed %d: %v", f, n, crashAt, det, seed, err)
+		}
+		if v != "" && !slices.Contains(proposals, v) {
+			t.Fatalf("%d of %d crashed at %v, %s: seed %d decided %q, not a proposal", f, n, crashAt, det, seed, v)
+		}
+	}
+}
+
+// TestConsensusSafetyMatrix holds agreement and validity from the trivial
+// case up to n = 21 with f = 10 crashed, across detectors, links and
+// crash times. Rows marked * broke agreement while initial estimates were
+// stamped ts 0 (the seed in brackets); the rest guard the fix's breadth.
+func TestConsensusSafetyMatrix(t *testing.T) {
+	const s = clock.Second
+	testRun(t, 3, 0, "chen", lan, 0, 10, 60*s)           // 3 of 3, no crash, LAN
+	testRun(t, 3, 1, "chen", lan, s, 10, 60*s)           // one silent from the start
+	testRun(t, 3, 0, "phi", wan, 0, 20, 60*s)            // * [19]
+	testRun(t, 3, 1, "sfd", jittery, 3100*msX, 10, 60*s) // * [4] crash mid-round
+	testRun(t, 4, 0, "chen0", jittery, 0, 15, 60*s)      // * [14] zero margin
+	testRun(t, 5, 0, "bertier", wan, 0, 20, 60*s)        // * [19]
+	testRun(t, 5, 2, "phi", jittery, 3100*msX, 10, 60*s) // * [10] f = 2 mid-round
+	testRun(t, 7, 3, "chen", lan, s, 3, 60*s)            // standard f = 3
+	testRun(t, 9, 4, "sfd", lan, s, 2, 60*s)             // standard f = 4
+	testRun(t, 21, 10, "chen", lan, s, 1, 60*s)          // standard f = 10
 }

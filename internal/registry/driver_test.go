@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,8 +48,8 @@ func crashFleet(n int, interval clock.Duration, beats func(i int) int, seed int6
 }
 
 // TestVerdictAtFreshnessPoint crashes 2 000 streams at random phases under
-// clock.Sim: every suspect lands in [τ, τ + 1 ms], every offline and
-// eviction within 1 ms after its deadline, and no verdict comes early.
+// clock.Sim: every suspect lands in [τ, τ + fineGrid], every offline and
+// eviction within fineGrid after its deadline, and no verdict comes early.
 func TestVerdictAtFreshnessPoint(t *testing.T) {
 	const (
 		n            = 2000
@@ -73,8 +74,8 @@ func TestVerdictAtFreshnessPoint(t *testing.T) {
 
 	within := func(ev Event, deadline clock.Time) {
 		t.Helper()
-		if lag := ev.At.Sub(deadline); lag < 0 || lag > ms {
-			t.Fatalf("%s %s at %v, %v after its deadline %v; want [0, 1ms]", ev.Peer, ev.Type, ev.At, lag, deadline)
+		if lag := ev.At.Sub(deadline); lag < 0 || lag > fineGrid {
+			t.Fatalf("%s %s at %v, %v after its deadline %v; want [0, %v]", ev.Peer, ev.Type, ev.At, lag, deadline, fineGrid)
 		}
 	}
 	suspectAt, offlineAt := make(map[string]clock.Time), make(map[string]clock.Time)
@@ -109,9 +110,10 @@ func TestVerdictAtFreshnessPoint(t *testing.T) {
 	}
 }
 
-// TestVerdictEdgeCases: a stream whose τ = 102.5 ms is on the fine heap
-// after the 100 ms lookahead; act runs at 101 ms (or at the instant given)
-// before the 103 ms fine wake. want lists the events up to 300 ms.
+// TestVerdictEdgeCases: a stream whose τ = 102.55 ms, off the fineGrid
+// points, is on the fine heap after the 100 ms lookahead; act runs at
+// 101 ms (or at the instant given) before the 102.6 ms fine wake. want
+// lists the events up to 300 ms.
 func TestVerdictEdgeCases(t *testing.T) {
 	observe := func(seq, inc uint64) func(*Registry, clock.Time) {
 		return func(r *Registry, now clock.Time) {
@@ -124,7 +126,7 @@ func TestVerdictEdgeCases(t *testing.T) {
 		act  func(r *Registry, now clock.Time)
 		want string
 	}{
-		{"silent: fine wake after τ", 101 * ms, nil, "suspect@103ms"},
+		{"silent: fine wake after τ", 101 * ms, nil, "suspect@102.6ms"},
 		{"heartbeat after the lookahead: no suspect, re-armed", 101 * ms, observe(2, 1), "suspect@201ms"},
 		{"deregistered: stale gen dropped", 101 * ms, func(r *Registry, _ clock.Time) { r.Deregister("p") }, ""},
 		{"re-registered: stale gen dropped", 101 * ms, func(r *Registry, now clock.Time) {
@@ -132,8 +134,8 @@ func TestVerdictEdgeCases(t *testing.T) {
 			observe(1, 1)(r, now)
 		}, "suspect@201ms"},
 		{"incarnation bump: no suspect, re-armed", 101 * ms, observe(1, 2), "suspect@201ms"},
-		{"manual tick before τ", 102 * ms, func(r *Registry, now clock.Time) { r.Tick(now) }, "suspect@103ms"},
-		{"manual tick between τ and the wake", 102700 * clock.Microsecond, func(r *Registry, now clock.Time) { r.Tick(now) }, "suspect@102.7ms"},
+		{"manual tick before τ", 102500 * clock.Microsecond, func(r *Registry, now clock.Time) { r.Tick(now) }, "suspect@102.6ms"},
+		{"manual tick between τ and the wake", 102570 * clock.Microsecond, func(r *Registry, now clock.Time) { r.Tick(now) }, "suspect@102.57ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,7 +145,7 @@ func TestVerdictEdgeCases(t *testing.T) {
 			sub := r.Subscribe(16)
 			r.Start()
 			defer r.Stop()
-			sim.AdvanceTo(clock.Time(2500 * clock.Microsecond))
+			sim.AdvanceTo(clock.Time(2550 * clock.Microsecond))
 			observe(1, 1)(r, sim.Now())
 			sim.AdvanceTo(clock.Time(tc.at))
 			if r.Counters().FineWakes != 0 || len(r.fine) != 1 {
@@ -276,13 +278,16 @@ func TestDriverWakeRate(t *testing.T) {
 	// A 5 ms margin: an entry comes out of the lookahead on the boundary
 	// below τ, and the next beat is due 5 ms before τ. A stream whose τ
 	// lies 5–10 ms past a boundary has not beaten yet, so it rides the
-	// heap every interval, and the driver wakes on the grid points 6, 7,
-	// 8 and 9 ms past each boundary (the one at 10 ms is the next coarse
-	// wake). 1 000 streams at random phases occupy all of them: 100
-	// coarse and 400 fine wakes a second, with no suspect. At a margin
-	// near 0 it would be 900 fine wakes, the rate of a 1 ms WheelTick.
+	// heap every interval. The driver wakes once, for the earliest such τ,
+	// more than 5 ms past the boundary; by then every other heap entry's
+	// τ is at most 5 ms away, so its stream has beaten, and the Tick
+	// resolves those entries as moved on instead of sleeping to them.
+	// 1 000 streams at random phases make 100 coarse and 100 fine wakes a
+	// second, with no suspect. Without the moved-on rule the driver woke
+	// for every grid point that held a τ: 400 a second on a 1 ms grid,
+	// and 3 120 on the 100 µs one.
 	t.Run("margin below WheelTick", func(t *testing.T) {
-		const n, fineWakes = 1000, 400
+		const n, fineWakes = 1000, 100
 		beats, _ := crashFleet(n, interval, func(int) int { return 20 }, 3)
 		r, run, _ := startStepped(t, interval+tick/2, tick, beats)
 		run(clock.Time(200 * ms)) // every stream armed
@@ -322,8 +327,8 @@ func TestDriverSleepsWholeGridSteps(t *testing.T) {
 		phases     []clock.Duration
 		want       clock.Duration
 	}{
-		{"free Tick: whole ms from the wake", 10 * ms, 0, []clock.Duration{2500 * us}, 103 * ms},
-		{"0.3 ms Tick: whole ms from its end", 10 * ms, 300 * us, []clock.Duration{2500 * us}, 103300 * us},
+		{"free Tick: whole steps from the wake", 10 * ms, 0, []clock.Duration{2550 * us}, 102600 * us},
+		{"0.35 ms Tick: whole steps from its end", 10 * ms, 350 * us, []clock.Duration{2500 * us}, 102550 * us},
 		{"due while the Tick runs: at once", 10 * ms, 600 * us, []clock.Duration{200 * us}, 100600*us + clock.Nanosecond},
 		{"fleet, free Tick", 10 * ms, 0, fleet(300, 4), 0},
 		{"fleet, 0.3 ms Tick", 10 * ms, 300 * us, fleet(300, 5), 0},
@@ -383,5 +388,146 @@ func TestDriverSleepsWholeGridSteps(t *testing.T) {
 				t.Fatal("no fine wake: the case does not exercise the heap")
 			}
 		})
+	}
+}
+
+// TestDriverNarrowMarginOneFineWakePerTick: healthy streams whose safety
+// margin is below WheelTick but at least half of it ride the fine heap
+// every interval, yet cost the driver at most one fine wake per WheelTick,
+// and none is suspected. The wake for the earliest heap entry finds every
+// later entry's stream already beaten, and its Tick resolves those
+// entries instead of sleeping to them. Kills dropping the moved-on rule
+// from Tick's heap loop (popping due tops only), which reads four fine
+// wakes per tick at a 5 ms margin.
+func TestDriverNarrowMarginOneFineWakePerTick(t *testing.T) {
+	const interval, tick = 100 * ms, 10 * ms
+	for _, tc := range []struct {
+		margin clock.Duration
+		seed   int64
+	}{{5 * ms, 11}, {8 * ms, 12}} {
+		t.Run(fmt.Sprint("margin ", tc.margin), func(t *testing.T) {
+			beats, _ := crashFleet(1000, interval, func(int) int { return 20 }, tc.seed)
+			r, run, _ := startStepped(t, interval+tc.margin, tick, beats)
+			clk := r.clk.(*stepClock)
+			perTick, most, fine := 0, 0, 0
+			// requested runs on the driver goroutine after each wake, while
+			// run waits for it: a coarse plan closes the tick.
+			clk.requested = func(clock.Duration) {
+				if r.plannedCoarse {
+					perTick = 0
+					return
+				}
+				perTick++
+				fine++
+				most = max(most, perTick)
+			}
+			run(clock.Time(1900 * ms))
+			if c := r.Counters(); c.Suspects != 0 || most != 1 || fine < 100 {
+				t.Fatalf("%d suspects, %d fine wakes, at most %d in one tick; want 0, ≥ 100 and 1",
+					c.Suspects, fine, most)
+			}
+		})
+	}
+}
+
+// TestDriverNarrowMarginCrashes: a 5 ms margin puts healthy streams on the
+// fine heap every interval, and one stream in ten crashes at a staggered
+// instant. Every crash is suspected within [τ, τ + fineGrid] and no
+// healthy stream is suspected. Kills a moved-on rule that drops an entry
+// instead of resolving it: a stream whose entry moved on loses its only
+// entry, and its later crash goes unseen. A rule that resolves a valid top
+// early re-arms that top onto the heap and never leaves the loop; the
+// 20 s guard catches that.
+func TestDriverNarrowMarginCrashes(t *testing.T) {
+	const n, interval, timeout = 2000, 100 * ms, 105 * ms
+	sim := clock.NewSim(0)
+	r := New(sim, func(string) detector.Detector { return detector.NewFixed(timeout, 0) },
+		Options{WheelTick: 10 * ms, MaxSilence: -1, OfflineAfter: 10 * clock.Second, EvictAfter: -1})
+	sub := r.Subscribe(n)
+	r.Start()
+	// Healthy streams beat until 2.9 s past their phase, so none reaches
+	// τ before 3 s; crashed ones fall silent by 2.2 s.
+	beats, last := crashFleet(n, interval, func(i int) int {
+		if i%10 == 0 {
+			return 5 + i%17
+		}
+		return 30
+	}, 13)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range beats {
+			sim.AdvanceTo(b.at)
+			r.Observe(heartbeat.Arrival{From: b.peer, Seq: b.seq, Send: b.at, Recv: b.at, Inc: 1})
+		}
+		sim.AdvanceTo(clock.Time(3 * clock.Second))
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the driver never finished a Tick: a valid heap top resolved early re-arms itself forever")
+	}
+	r.Stop()
+	evs := drain(sub)
+	for _, ev := range evs {
+		i, _ := strconv.Atoi(strings.TrimPrefix(ev.Peer, "f/s"))
+		tau := last[ev.Peer].Add(timeout)
+		if lag := ev.At.Sub(tau); ev.Type != EventSuspect || i%10 != 0 || lag < 0 || lag > fineGrid {
+			t.Fatalf("%s %s at %v, τ %v: want a suspect of a crashed stream within [τ, τ + %v]",
+				ev.Peer, ev.Type, ev.At.Sub(0), tau.Sub(0), fineGrid)
+		}
+	}
+	if len(evs) != n/10 {
+		t.Fatalf("%d suspects for %d crashes", len(evs), n/10)
+	}
+	if c := r.Counters(); c.FineWakes == 0 {
+		t.Fatal("no fine wake: the case does not exercise the heap")
+	}
+}
+
+// TestNewIncarnationKeepsHeapInstant: stream p's τ = 102.55 ms is on the
+// fine heap when, at 101 ms, its new incarnation's first beat arrives
+// under MaxSilence −1, and the new detector has no freshness point yet:
+// p's deadline becomes 0 under the same generation. The 101.1 ms wake for
+// q must not resolve p's entry: nothing happens to p before the entry's
+// instant. Kills a moved-on rule that tests `st.deadline != e.at`.
+func TestNewIncarnationKeepsHeapInstant(t *testing.T) {
+	sim := clock.NewSim(0)
+	made := make(map[string]int)
+	r := New(sim, func(peer string) detector.Detector {
+		if made[peer]++; made[peer] > 1 {
+			return detector.NewChen(10, 0, 0) // no freshness point from one beat
+		}
+		return detector.NewFixed(100*ms, 0)
+	}, Options{WheelTick: 10 * ms, MaxSilence: -1, OfflineAfter: clock.Second, EvictAfter: -1})
+	sub := r.Subscribe(16)
+	r.Start()
+	defer r.Stop()
+	observe := func(peer string, inc uint64) {
+		now := sim.Now()
+		r.Observe(heartbeat.Arrival{From: peer, Seq: 1, Send: now, Recv: now, Inc: inc})
+	}
+	sim.AdvanceTo(clock.Time(1050 * clock.Microsecond))
+	observe("q", 1)
+	sim.AdvanceTo(clock.Time(2550 * clock.Microsecond))
+	observe("p", 1)
+	sim.AdvanceTo(clock.Time(101 * ms))
+	observe("p", 2)
+	sh := r.shardFor("p")
+	sh.mu.Lock()
+	dl := sh.streams["p"].deadline
+	sh.mu.Unlock()
+	if dl != 0 || len(r.fine) != 2 {
+		t.Fatalf("after the new incarnation: deadline %v, %d heap entries; want 0 and 2", dl, len(r.fine))
+	}
+	sim.AdvanceTo(clock.Time(300 * ms))
+	var got []string
+	early := false
+	for _, ev := range drain(sub) {
+		got = append(got, fmt.Sprintf("%s %s@%v", ev.Type, ev.Peer, ev.At.Sub(0)))
+		early = early || ev.Peer == "p" && ev.At < clock.Time(102550*clock.Microsecond)
+	}
+	if len(got) == 0 || got[0] != "suspect q@101.1ms" || early {
+		t.Fatalf("events %q: want q suspected at 101.1 ms, and nothing for p before 102.55 ms", got)
 	}
 }

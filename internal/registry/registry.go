@@ -44,9 +44,9 @@ type Options struct {
 	Shards int
 	// WheelTick is the timer-wheel granularity and the period of the
 	// driver's coarse wakes (default 10 ms). A transition fires within
-	// 1 ms (or one tick, if shorter) after its deadline, and never before
-	// it; a deadline moved earlier into the tick the wheel has already
-	// looked ahead over fires within one tick.
+	// 100 µs (or one tick, if shorter) after its deadline, and never
+	// before it; a deadline moved earlier into the tick the wheel has
+	// already looked ahead over fires within one tick.
 	WheelTick clock.Duration
 	// BusyLevel and SuspectLevel are the accrual suspicion levels (for
 	// detectors implementing detector.Accrual; binary detectors map
@@ -341,7 +341,8 @@ func (r *Registry) Start() {
 // A fine wake sleeps whole fineGrid steps from the end of the Tick (see
 // fineGrid for why whole steps), to the first at or after the heap's
 // earliest deadline; one that fell due while the Tick ran wakes the
-// driver at once.
+// driver at once. Tick has already resolved every heap top whose stream
+// moved on, so the top the driver sleeps to is one it may have to fire.
 func (r *Registry) wake(now clock.Time) clock.Duration {
 	if r.plannedCoarse {
 		r.coarseWakes.Add(1)
@@ -384,10 +385,15 @@ func (r *Registry) Stop() {
 // whose deadline a heartbeat moved past that lookahead is re-armed on the
 // wheel, one already due transitions, and one due inside the lookahead
 // goes on the fine heap, which the driver wakes for. Then it pops and
-// resolves every heap entry due by now. Start calls Tick automatically;
-// it is exported so tests and embedders can drive the wheel by hand. It
-// must not be called concurrently with itself (the Start driver never
-// does).
+// resolves heap tops while the top is due by now or its stream has moved
+// on: the stream is gone, it was re-armed under a new generation, or a
+// heartbeat moved its deadline past the entry's instant (resolving that
+// entry re-arms it, on the heap or the wheel). Any other top stays until
+// its instant, so the driver never sleeps to an entry a heartbeat has
+// already answered and never fires one early. Start calls Tick
+// automatically; it is exported so tests and embedders can drive the
+// wheel by hand. It must not be called concurrently with itself (the
+// Start driver never does).
 func (r *Registry) Tick(now clock.Time) {
 	r.tickBuf = r.wheel.advance(now.Add(r.opts.WheelTick), r.tickBuf[:0])
 	r.reached = r.wheel.reached()
@@ -397,8 +403,12 @@ func (r *Registry) Tick(now clock.Time) {
 	// The buffer keeps its capacity: clear the names so the largest burst
 	// ever fired does not keep evicted streams' names reachable.
 	clear(r.tickBuf)
-	for len(r.fine) > 0 && !r.fine[0].at.After(now) {
-		e := r.fine.pop()
+	for len(r.fine) > 0 {
+		e := r.fine[0]
+		if e.at.After(now) && !r.movedOn(e) {
+			break
+		}
+		r.fine.pop()
 		r.expire(now, expiry{peer: e.peer, gen: e.gen})
 	}
 	if hooks := r.tickHooks.Load(); hooks != nil {
@@ -668,6 +678,21 @@ func (r *Registry) armLocked(now clock.Time, st *stream, at clock.Time) {
 		return
 	}
 	r.rearmLocked(st, at)
+}
+
+// movedOn reports whether heap entry e's stream has moved on since e was
+// pushed: it is gone, it was re-armed under a new generation, or a
+// heartbeat moved its deadline past e.at. Under the same generation a
+// deadline no later than e.at keeps e live, and e must still fire at its
+// instant: a new incarnation whose detector has no freshness point yet
+// leaves deadline 0 when the silence net is off.
+func (r *Registry) movedOn(e fineEntry) bool {
+	sh := r.shardFor(e.peer)
+	sh.mu.Lock()
+	st := sh.streams[e.peer]
+	moved := st == nil || st.gen != e.gen || st.deadline.After(e.at)
+	sh.mu.Unlock()
+	return moved
 }
 
 // expire resolves one wheel or heap entry against the stream's current

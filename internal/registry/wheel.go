@@ -18,15 +18,21 @@ import (
 // that comes out of that lookahead for a stream still due inside the
 // next tick — one that has not heartbeated since its freshness point was
 // set — moves to a small min-heap (fineHeap) owned by the driver, which
-// wakes for it within one fineGrid step after the deadline, sleeping whole
-// steps from the end of its last Tick, instead of on the next WheelTick
-// boundary. While a stream's safety margin (τ minus its next beat's
-// expected arrival) is at least WheelTick, its next beat has moved τ on
-// before the lookahead reaches it, so only imminent verdicts reach the
-// heap and fine wakes follow the suspect rate. A healthy stream with a
-// narrower margin reaches the heap too, in a share 1 − margin/WheelTick
-// of its intervals; a fleet of them wakes the driver up to once per
-// fineGrid step, the rate of a 1 ms WheelTick.
+// wakes for it within one fineGrid step (100 µs) after the deadline,
+// sleeping whole steps from the end of its last Tick, instead of on the
+// next WheelTick boundary. While a stream's safety margin (τ minus its
+// next beat's expected arrival) is at least WheelTick, its next beat has
+// moved τ on before the lookahead reaches it, so only imminent verdicts
+// reach the heap and fine wakes follow the suspect rate. A healthy stream
+// with a narrower margin reaches the heap too, in a share
+// 1 − margin/WheelTick of its intervals. Before the driver sleeps, each
+// Tick resolves every heap top whose stream has moved on — gone,
+// re-armed, or beaten since the entry was pushed — so the driver wakes
+// only for an entry that may still be due. With margins of at least half
+// a WheelTick, a fleet of such streams wakes it once per WheelTick, for
+// its earliest entry: by then every later entry's stream has beaten. A
+// narrower margin m leaves about one fine wake per m of the tick, never
+// more than one per fineGrid step.
 //
 // Entries are lazily invalidated rather than removed: every stream
 // carries a generation counter, each entry captures the generation it
@@ -262,12 +268,27 @@ func (w *timerWheel) blockStats() (inUse, free int) {
 }
 
 // fineGrid is the step of the driver's fine sleeps (capped at WheelTick):
-// a fine wake sleeps a whole number of steps from the end of a Tick. It is
-// the Go runtime's timer resolution on Linux, where netpoll waits in whole
-// milliseconds and a sleep with a fractional millisecond overshoots by up
-// to one more; a zero-width step would let a verdict fire exactly at its
-// deadline, with no measurable lag at all under clock.Sim.
-const fineGrid = clock.Millisecond
+// a fine wake sleeps a whole number of steps from the end of a Tick, to
+// the first step at or after the heap's earliest deadline. Steps are
+// counted from the Tick's end, never from the wheel's start, whose grid
+// would give every sleep an arbitrary remainder.
+//
+// A step finer than the runtime's idle timer resolution costs nothing. An
+// idle process's netpoller waits in whole milliseconds, so time.Sleep(d)
+// wakes about 0.15 ms after the first whole millisecond at or after d,
+// whether or not d is whole (Go 1.24.0, Linux, 2-vCPU VM, median of 200
+// sleeps):
+//
+//	d      0.2   1.3   1.7   2.0   2.5  ms
+//	woke   1.08  2.16  2.17  2.15  3.15 ms
+//
+// so a 100 µs step never wakes an idle driver later than a 1 ms step. A
+// busy process's netpoller is awake (a monitor ingesting 40 000 datagrams
+// a second), its timers fire on time, and a coarser step adds directly to
+// every verdict's lag. The step is not zero: under clock.Sim a verdict
+// would then fire exactly at its deadline, and a lag that always reads 0
+// shows nothing.
+const fineGrid = 100 * clock.Microsecond
 
 // fineEntry is one looked-ahead deadline on the driver's heap.
 type fineEntry struct {
